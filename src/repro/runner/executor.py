@@ -15,7 +15,7 @@ call the executor:
    lifetime, shared across calls), or runs them inline when
    ``workers <= 1`` / the pool is unavailable.
 
-Three scheduling refinements over the old per-call ``Pool.map``:
+Three scheduling refinements keep the pool busy:
 
 * **straggler-aware submission** — jobs are submitted longest-first
   using the persisted cost model (:mod:`repro.runner.costmodel`), and
@@ -30,13 +30,10 @@ Three scheduling refinements over the old per-call ``Pool.map``:
   worker that computed it).
 
 ``REPRO_RUNNER_WORKERS`` sets the default pool size (1 = serial,
-``auto`` = one per CPU); ``REPRO_CACHE=off`` disables result caching;
-``REPRO_RUNNER_POOL=legacy|off`` falls back to the per-call
-``Pool.map`` path or to inline execution. Explicit arguments win over
-all knobs.
+``auto`` = one per CPU); ``REPRO_CACHE=off`` disables result caching.
+Explicit arguments win over both knobs.
 """
 
-import multiprocessing
 import os
 import threading
 import time
@@ -46,7 +43,7 @@ from ..errors import ConfigError, WorkerError
 from ..obs import telemetry
 from . import cache as result_cache
 from . import costmodel, pool as pool_mod
-from .jobs import SimJob, run_job
+from .jobs import run_job
 
 #: Executor telemetry: plan-level job accounting (the cache layer
 #: counts hits/misses itself; the pool counts dispatches).
@@ -98,28 +95,6 @@ def default_workers():
             stacklevel=2,
         )
         return 1
-
-
-def _run_job_payload(job_dict):
-    """Worker entry point for the *legacy* per-call pool: rebuild the
-    job spec and simulate it. Module level (not a closure) so the spawn
-    start method can import it."""
-    return run_job(SimJob.from_dict(job_dict))
-
-
-def _pool_map_baseline(jobs, workers):
-    """The pre-persistent-pool execution path: spawn a fresh
-    ``multiprocessing.Pool`` for this one call and ``map`` over it
-    (order-preserving barrier; full interpreter + import + code-salt
-    cost per call). Kept as the measured baseline for
-    ``benchmarks/test_runner_perf.py`` and reachable via
-    ``REPRO_RUNNER_POOL=legacy``."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [run_job(job) for job in jobs]
-    context = multiprocessing.get_context("spawn")
-    processes = min(workers, len(jobs))
-    with context.Pool(processes=processes) as worker_pool:
-        return worker_pool.map(_run_job_payload, [job.to_dict() for job in jobs])
 
 
 def _chunk_size(pending_count, workers):
@@ -183,8 +158,8 @@ def _simulate_inline(pending, use_cache, cache_dir, model, progress):
 
 def _simulate_pending(pending, workers, use_cache, cache_dir, progress=None):
     """Simulate the deduplicated cache-miss jobs; returns ``{key:
-    payload}``. Chooses the persistent pool, the legacy per-call pool,
-    or inline execution based on ``workers`` and ``REPRO_RUNNER_POOL``."""
+    payload}``. Chooses the persistent pool or inline execution based
+    on ``workers`` and whether the pool can be started."""
     if progress is None:
         progress = Progress()
     with _DISPATCH_LOCK:
@@ -195,19 +170,9 @@ def _simulate_pending(pending, workers, use_cache, cache_dir, progress=None):
 
 def _simulate_pending_locked(pending, workers, use_cache, cache_dir, progress):
     model = costmodel.CostModel.load(cache_dir)
-    mode = pool_mod.pool_mode()
     try:
-        if workers <= 1 or len(pending) <= 1 or mode == "off":
+        if workers <= 1 or len(pending) <= 1:
             return _simulate_inline(pending, use_cache, cache_dir, model, progress)
-        if mode == "legacy":
-            payloads = {}
-            computed = _pool_map_baseline([job for job, _key in pending], workers)
-            for (job, key), payload in zip(pending, computed):
-                if use_cache:
-                    result_cache.store(key, job, payload, cache_dir)
-                payloads[key] = payload
-                progress.finish(job.tag)
-            return payloads
         shared = pool_mod.shared_pool(workers)
         if shared is None or shared.running:
             return _simulate_inline(pending, use_cache, cache_dir, model, progress)
@@ -281,7 +246,7 @@ def simulate_jobs(jobs, workers=None, on_job_done=None):
     if workers is None:
         workers = default_workers()
     shared = None
-    if workers > 1 and len(jobs) > 1 and pool_mod.pool_mode() == "persistent":
+    if workers > 1 and len(jobs) > 1:
         shared = pool_mod.shared_pool(workers)
         if shared is not None and shared.running:
             shared = None

@@ -21,9 +21,9 @@ every ``execute()`` call and experiment:
   timeouts), respawned, and its in-flight chunk retried up to
   :data:`MAX_RETRIES` times before the job surfaces a
   :class:`~repro.errors.WorkerError`;
-* anything that prevents spawning at all (``REPRO_RUNNER_POOL=off``,
-  a sandboxed environment refusing ``fork``/``spawn``) degrades to
-  inline execution in the caller, never to a crash.
+* anything that prevents spawning at all (a sandboxed environment
+  refusing ``fork``/``spawn``) degrades to inline execution in the
+  caller, never to a crash.
 
 The module-level singleton (:func:`shared_pool`) is what the executor
 uses; :class:`WorkerPool` itself is also usable standalone (the
@@ -70,31 +70,9 @@ MAX_RETRIES = 1
 #: back-to-back without sleeping.
 POLL_SECONDS = 0.2
 
-#: ``REPRO_RUNNER_POOL`` — ``persistent`` (default), ``legacy``
-#: (per-call ``Pool.map``, kept as the benchmark baseline), or ``off``
-#: (inline execution regardless of the worker count).
-ENV_POOL = "REPRO_RUNNER_POOL"
-
 #: Test-only fault hook (see ``_maybe_test_crash``): crash a worker
 #: deterministically when it picks up a given job tag.
 ENV_TEST_CRASH = "REPRO_RUNNER_TEST_CRASH"
-
-
-def pool_mode():
-    """The configured execution mode: persistent | legacy | off."""
-    raw = os.environ.get(ENV_POOL, "").strip().lower()
-    if raw in ("", "persistent", "on", "1", "true"):
-        return "persistent"
-    if raw in ("legacy", "spawn"):
-        return "legacy"
-    if raw in ("off", "0", "false", "inline", "no"):
-        return "off"
-    warnings.warn(
-        "ignoring unknown %s=%r (use persistent | legacy | off)" % (ENV_POOL, raw),
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return "persistent"
 
 
 def _maybe_test_crash(tag):
@@ -463,12 +441,12 @@ _ATEXIT_REGISTERED = False
 def shared_pool(workers):
     """The process-wide pool, created on first use and grown on demand.
 
-    Returns ``None`` when a pool should not (mode ``off``/``legacy``,
-    ``workers <= 1``) or cannot (spawn failure — warns and degrades)
-    be used; callers fall back to inline execution.
+    Returns ``None`` when a pool should not (``workers <= 1``) or
+    cannot (spawn failure — warns and degrades) be used; callers fall
+    back to inline execution.
     """
     global _SHARED, _ATEXIT_REGISTERED
-    if workers <= 1 or pool_mode() != "persistent":
+    if workers <= 1:
         return None
     if _SHARED is not None and _SHARED.alive:
         if _SHARED.size < workers:

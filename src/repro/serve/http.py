@@ -261,6 +261,12 @@ class HttpServer:
         self._tasks.add(task)
         try:
             await self._serve_connection(reader, writer)
+        except asyncio.CancelledError:
+            # stop() cancels connections still idling in keep-alive.
+            # That is a normal close: returning (not re-raising) keeps
+            # asyncio's stream callback from calling exception() on a
+            # cancelled task and logging the CancelledError.
+            pass
         finally:
             self._tasks.discard(task)
             try:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.guest.actions import Compute, Emit, Sleep, SmpCallSingle, Wake
+from repro.errors import SimulationError
+from repro.guest.actions import Action, Compute, Emit, Sleep, SmpCallSingle, Wake
 from repro.guest.waitqueue import WaitQueue
 from repro.sim.engine import Interrupt, Simulator
 from repro.sim.time import ms, us
@@ -158,9 +159,8 @@ class TestPeekCompactInteraction:
     and ``_compact()`` can fire mid-run from inside a callback. Both
     must keep ``_garbage`` exact and never lose a live event."""
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_peek_releases_cancelled_far_heads_exactly(self, backend):
-        sim = Simulator(far_queue=backend)
+    def test_peek_releases_cancelled_far_heads_exactly(self):
+        sim = Simulator()
         victims = [sim.schedule(10 + i, lambda _a: None) for i in range(3)]
         sim.schedule(50, lambda _a: None)
         for handle in victims:
@@ -184,13 +184,12 @@ class TestPeekCompactInteraction:
         assert sim._garbage == 0
         assert sim.pending() == 1
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_peek_skips_stale_timer_waits_without_garbage(self, backend):
+    def test_peek_skips_stale_timer_waits_without_garbage(self):
         # Handle-free timer waits (a process yielding a bare int) are
         # invalidated by revoking the arm token, never via cancel(), so
         # they must not contribute to _garbage -- and peek() must not
         # decrement it when it releases one.
-        sim = Simulator(far_queue=backend)
+        sim = Simulator()
 
         def sleeper():
             try:
@@ -209,14 +208,13 @@ class TestPeekCompactInteraction:
         assert sim.peek() == 50
         assert sim._garbage == 0
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_midrun_compaction_keeps_later_same_time_events(self, backend):
+    def test_midrun_compaction_keeps_later_same_time_events(self):
         # A callback cancels enough handles to trigger _compact() while
         # the run loop is mid-drain at this instant. Later same-time
         # events -- a far sibling already popped into the lane and two
         # zero-delay follow-ups scheduled by the callback itself -- must
         # all still fire, in order.
-        sim = Simulator(far_queue=backend)
+        sim = Simulator()
         fired = []
         victims = [sim.schedule(100 + i, lambda _a: None) for i in range(20)]
         doomed = {}
@@ -236,3 +234,38 @@ class TestPeekCompactInteraction:
         assert fired == ["boom", "sibling", "follow-up-1", "follow-up-2"]
         assert sim._garbage == 0
         assert sim.pending() == 0
+
+
+class _Mystery(Action):
+    __slots__ = ()
+
+
+class _LongCompute(Compute):
+    __slots__ = ()
+
+
+class TestUnknownAction:
+    """The executor dispatches by exact class, so an action class it has
+    no handler for (a subclass of a known one included) is an error at
+    its first dispatch, never a hang or a spin."""
+
+    @pytest.mark.parametrize(
+        "make_action",
+        [_Mystery, lambda: _LongCompute(us(5))],
+        ids=["action-subclass", "compute-subclass"],
+    )
+    def test_unknown_action_class_raises_naming_it(self, make_action):
+        sim, hv = make_hv(num_pcpus=1)
+        domain = make_domain(hv, vcpus=1)
+        action = make_action()
+
+        def program():
+            yield Compute(us(10))
+            yield action
+
+        spawn_task(domain.vcpus[0], lambda: program())
+        hv.start()
+        with pytest.raises(SimulationError, match=type(action).__name__):
+            sim.run(until=ms(100))
+        assert sim.now < us(100)
+        assert not action.done

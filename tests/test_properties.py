@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and
 invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.guest.spinlock import PAGE_ALLOC, PARKED, SPINNING, WAITING, SpinLock
@@ -9,8 +9,248 @@ from repro.guest.symbols import SymbolTable, build_table
 from repro.guest.waitqueue import WaitQueue
 from repro.metrics.counters import CounterSet
 from repro.metrics.latency import LatencyStat
-from repro.sim.engine import Simulator
+from repro.sim.engine import Interrupt, Simulator
 from repro.sim.rng import RngHub
+
+
+class _RefEntry:
+    __slots__ = ("time", "seq", "fn", "arg", "live")
+
+    def __init__(self, time, seq, fn, arg):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.arg = arg
+        self.live = True
+
+
+class _RefSim:
+    """The engine's contract with nothing optimised: one list, sorted
+    by ``(time, seq)`` before every pop. Every schedule takes the next
+    sequence number, and dead entries never move the clock."""
+
+    def __init__(self):
+        self.now = 0
+        self.seq = 0
+        self.pending = []
+        self.executed = 0
+
+    def schedule(self, delay, fn, arg=None):
+        self.seq += 1
+        entry = _RefEntry(self.now + delay, self.seq, fn, arg)
+        self.pending.append(entry)
+        return entry
+
+    def run(self, until=None):
+        while True:
+            self.pending.sort(key=lambda e: (e.time, e.seq))
+            while self.pending and not self.pending[0].live:
+                self.pending.pop(0)
+            if not self.pending:
+                break
+            entry = self.pending[0]
+            if until is not None and entry.time > until:
+                break
+            self.pending.pop(0)
+            self.now = entry.time
+            entry.live = False
+            self.executed += 1
+            entry.fn(entry.arg)
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
+
+
+class _RefProcess:
+    """Process semantics spelled out plainly: a wait is one timer entry
+    whose firing schedules one zero-delay resume; an interrupt cancels
+    the timer if it has not fired and schedules one step."""
+
+    def __init__(self, sim, gen):
+        self.sim = sim
+        self.gen = gen
+        self.alive = True
+        self.begun = False
+        self.wait = None
+        self.interrupt_pending = None
+        self.resume_scheduled = True
+        sim.schedule(0, self.step)
+
+    def interrupt(self, cause):
+        if not self.alive:
+            return
+        if self.interrupt_pending is not None:
+            self.interrupt_pending.add_cause(cause)
+            return
+        self.interrupt_pending = Interrupt(cause)
+        if self.wait is not None:
+            self.wait.live = False  # no-op once the timer has fired
+            self.wait = None
+        if not self.resume_scheduled:
+            self.resume_scheduled = True
+            self.sim.schedule(0, self.step)
+
+    def step(self, _arg=None):
+        self.resume_scheduled = False
+        exc, self.interrupt_pending = self.interrupt_pending, None
+        if exc is not None and not self.begun:
+            # Deliver at the first yield: a fresh generator cannot catch.
+            self.interrupt_pending, exc = exc, None
+        self.begun = True
+        try:
+            kind, delay = self.gen.throw(exc) if exc is not None else self.gen.send(None)
+        except StopIteration:
+            self.alive = False
+            return
+        if self.interrupt_pending is not None:
+            # Interrupted before the first yield: the wait never starts.
+            # A Timeout object was already armed and still fires (waking
+            # nobody); a bare-int wait only consumes its sequence number.
+            if kind == "timeout":
+                self.sim.schedule(delay, lambda _arg: None)
+            else:
+                self.sim.seq += 1
+            if not self.resume_scheduled:
+                self.resume_scheduled = True
+                self.sim.schedule(0, self.step)
+            return
+        entry = self.wait = self.sim.schedule(delay, self.fire)
+        entry.arg = entry
+
+    def fire(self, entry):
+        if self.wait is entry:
+            self.sim.schedule(0, self.resume, entry)
+
+    def resume(self, entry):
+        if self.wait is entry and self.alive:
+            self.wait = None
+            self.step()
+
+
+class _EngineApi:
+    def __init__(self):
+        self.sim = Simulator()
+        self.procs = []
+
+    def now(self):
+        return self.sim.now
+
+    def schedule(self, delay, fn, arg):
+        return self.sim.schedule(delay, fn, arg)
+
+    def cancel(self, handle):
+        handle.cancel()
+
+    def wait(self, kind, delay):
+        return delay if kind == "int" else self.sim.timeout(delay)
+
+    def process(self, gen):
+        self.procs.append(self.sim.process(gen))
+
+    def interrupt(self, index, cause):
+        self.procs[index].interrupt(cause)
+
+    def run(self, until=None):
+        return self.sim.run(until=until)
+
+    def executed(self):
+        return self.sim.executed_events
+
+
+class _ReferenceApi(_EngineApi):
+    def __init__(self):
+        self.sim = _RefSim()
+        self.procs = []
+
+    def cancel(self, handle):
+        handle.live = False
+
+    def wait(self, kind, delay):
+        return (kind, delay)
+
+    def process(self, gen):
+        self.procs.append(_RefProcess(self.sim, gen))
+
+    def executed(self):
+        return self.sim.executed
+
+
+def _play(api, nodes, procs, fillers, until):
+    """Run one random program; returns ``(firings, clocks, executed)``.
+
+    Node ``j`` is ``(delay, parent, cancels, interrupts, cancel_all)``:
+    scheduled at setup when ``parent`` is None, else by its parent's
+    callback. When it fires it logs itself, schedules its children,
+    cancels the handles it names (or every handle scheduled so far,
+    enough to force a mid-run compaction), and interrupts processes.
+    ``fillers`` more timers are scheduled at setup as cancellation
+    fodder."""
+    log = []
+    handles = {}
+    for index in range(fillers):
+        handles[("filler", index)] = api.schedule(
+            9 + index * 37 % 50, log.append, ("filler", index)
+        )
+    children = {j: [] for j in range(len(nodes))}
+    roots = []
+    for j, node in enumerate(nodes):
+        parent = node[1]
+        if parent is None or j == 0:
+            roots.append(j)
+        else:
+            children[parent % j].append(j)
+
+    def fire(j):
+        log.append(("cb", j, api.now()))
+        _delay, _parent, cancels, interrupts, cancel_all = nodes[j]
+        for child in children[j]:
+            handles[child] = api.schedule(nodes[child][0], fire, child)
+        keys = list(handles)
+        for target in cancels:
+            api.cancel(handles[keys[target % len(keys)]])
+        for index in interrupts:
+            if procs:
+                api.interrupt(index % len(procs), j)
+        if cancel_all:
+            for handle in handles.values():
+                api.cancel(handle)
+
+    def body(index, waits):
+        for step, (kind, delay) in enumerate(waits):
+            try:
+                yield api.wait(kind, delay)
+                log.append(("wake", index, step, api.now()))
+            except Interrupt as intr:
+                log.append(("intr", index, step, api.now(), len(intr.causes)))
+
+    for j in roots:
+        handles[j] = api.schedule(nodes[j][0], fire, j)
+    for index, waits in enumerate(procs):
+        api.process(body(index, waits))
+    clocks = []
+    if until is not None:
+        clocks.append(api.run(until))
+    clocks.append(api.run())
+    return log, clocks, api.executed()
+
+
+_DELAY = st.one_of(st.just(0), st.integers(min_value=1, max_value=8))
+_NODES = st.lists(
+    st.tuples(
+        _DELAY,
+        st.one_of(st.none(), st.integers(min_value=0, max_value=100)),
+        st.lists(st.integers(min_value=0, max_value=100), max_size=3),
+        st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+        st.integers(min_value=0, max_value=7).map(lambda n: n == 0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+_PROCS = st.lists(
+    st.lists(st.tuples(st.sampled_from(["int", "timeout"]), _DELAY), min_size=1, max_size=6),
+    min_size=1,
+    max_size=4,
+)
 
 
 class TestEngineProperties:
@@ -54,6 +294,37 @@ class TestEngineProperties:
         sim.run()
         assert p.state == "finished"
         assert sim.now == sum(waits)
+
+    @given(
+        _NODES,
+        _PROCS,
+        st.integers(min_value=0, max_value=24),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=120)),
+    )
+    # A timer wait due at the same instant as a later-armed callback:
+    # the direct trampoline dispatch must wait for the callback.
+    @example(
+        nodes=[(2, None, [], [], False), (2, 0, [], [], True)],
+        procs=[[("int", 4)]],
+        fillers=0,
+        until=None,
+    )
+    # A compaction that leaves live entries scattered through the heap.
+    @example(
+        nodes=[(3, None, [], [], True)],
+        procs=[[("int", 1), ("int", 8)], [("int", 2), ("int", 7)], [("int", 3)]],
+        fillers=16,
+        until=None,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_sorted_list_loop(self, nodes, procs, fillers, until):
+        """The engine's fast paths (now lane, heap, lazy cancellation,
+        compaction, handle-free timer waits, direct trampoline
+        dispatch) against the naive loop in :class:`_RefSim`: same
+        firings at the same times, same clocks, same event count."""
+        assert _play(_EngineApi(), nodes, procs, fillers, until) == _play(
+            _ReferenceApi(), nodes, procs, fillers, until
+        )
 
 
 class TestLatencyStatProperties:

@@ -9,6 +9,7 @@ service's (admission, streams, many clients), not the pool's, which
 has its own suite.
 """
 
+import asyncio
 import http.client
 import json
 import threading
@@ -528,6 +529,35 @@ class TestDrain:
             assert (cache_dir / "meta" / "telemetry.json").exists()
         finally:
             handle.stop()
+
+    def test_idle_keepalive_connection_closes_quietly_on_stop(self, tmp_path, capfd):
+        """stop() cancels a keep-alive connection idling in
+        read_request; the cancelled connection task must end without
+        reaching the loop's exception handler or stderr."""
+        handle = start_in_thread(
+            ServeConfig(port=0, workers=1, cache_dir=str(tmp_path / "cache"))
+        )
+        reported = []
+
+        async def capture_loop_errors():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: reported.append(context)
+            )
+
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+        try:
+            handle.run(capture_loop_errors())
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
+            assert resp.getheader("Connection") == "keep-alive"
+            handle.drain()
+        finally:
+            handle.stop()  # the connection is still open and idle here
+            conn.close()
+        assert reported == []
+        assert "CancelledError" not in capfd.readouterr().err
 
 
 @pytest.mark.slow
