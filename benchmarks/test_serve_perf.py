@@ -5,7 +5,7 @@ concurrent clients — stdlib load generator, no external tooling.
 Two scenarios against one in-process server (port 0, tmp cache dir):
 
 * **hit** — every client hammers the same already-cached submission;
-  measures the fast path (probe + finalize, no pool round-trip);
+  measures the fast path (probe + finish, no pool round-trip);
 * **cold** — every request is a unique tiny simulation; measures the
   full submit → dispatch → simulate → poll pipeline.
 

@@ -13,6 +13,7 @@ Examples::
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,11 +40,9 @@ def _parse_policy(text):
 def _trace_request(args):
     """``--trace``/``--trace=KINDS``/``--trace-kinds KINDS`` -> a job
     trace request dict (or None when tracing was not asked for)."""
-    trace = getattr(args, "trace", None)
-    trace_kinds = getattr(args, "trace_kinds", None)
-    if trace is None and trace_kinds is None:
+    if args.trace is None and args.trace_kinds is None:
         return None
-    raw = trace_kinds if trace_kinds is not None else trace
+    raw = args.trace_kinds if args.trace_kinds is not None else args.trace
     kinds = [kind for kind in raw.split(",") if kind]
     return {"kinds": kinds or None}
 
@@ -130,29 +129,41 @@ class _ProgressLine:
             self.stream.flush()
 
 
+def _run_experiments(args, run, target, **request):
+    """``run(target, ...)`` — ``registry.run`` or ``registry.run_many``
+    — under the flags ``run`` and ``fleet`` share
+    (--seed/--scale/--workers/--no-cache/--progress)."""
+    progress = _ProgressLine() if args.progress else None
+    try:
+        return run(
+            target,
+            workers=args.workers,
+            cache=False if args.no_cache else None,
+            progress=progress,
+            seed=args.seed,
+            scale_override=args.scale,
+            **request
+        )
+    finally:
+        if progress is not None:
+            progress.close()
+
+
 def _cmd_run(args):
     names = list(args.experiment)
     if args.all:
         names = registry.available()
     elif not names:
         raise ReproError("specify at least one experiment (or --all)")
-    progress = _ProgressLine() if args.progress else None
-    try:
-        outcome = registry.run_many(
-            names,
-            workers=args.workers,
-            cache=False if args.no_cache else None,
-            trace=_trace_request(args),
-            trace_out=args.trace_out,
-            faults=getattr(args, "faults", None),
-            scheduler=getattr(args, "scheduler", None),
-            progress=progress,
-            seed=args.seed,
-            scale_override=args.scale,
-        )
-    finally:
-        if progress is not None:
-            progress.close()
+    outcome = _run_experiments(
+        args,
+        registry.run_many,
+        names,
+        trace=_trace_request(args),
+        trace_out=args.trace_out,
+        faults=args.faults,
+        scheduler=args.scheduler,
+    )
     for index, name in enumerate(outcome):
         if len(outcome) > 1:
             if index:
@@ -165,36 +176,28 @@ def _cmd_run(args):
 
 
 def _cmd_fleet(args):
-    from .experiments import fleet as fleet_experiment
     from .fleet import placement as fleet_placement
 
     if args.policies is None:
         policies = fleet_placement.available()
     else:
         policies = [name for name in args.policies.split(",") if name]
-    progress = _ProgressLine() if args.progress else None
-    try:
-        results = fleet_experiment.drive(
-            workers=args.workers,
-            cache=False if args.no_cache else None,
-            progress=progress,
-            seed=args.seed,
-            scale_override=args.scale,
-            scheduler=args.scheduler,
-            policies=policies,
-            hosts=args.hosts,
-            epochs=args.epochs,
-            rate=args.rate,
-            overcommit=args.overcommit,
-            migration_cost_ms=args.migration_cost_ms,
-        )
-    finally:
-        if progress is not None:
-            progress.close()
+    results, text = _run_experiments(
+        args,
+        registry.run,
+        "fleet",
+        scheduler=args.scheduler,
+        policies=policies,
+        hosts=args.hosts,
+        epochs=args.epochs,
+        rate=args.rate,
+        overcommit=args.overcommit,
+        migration_cost_ms=args.migration_cost_ms,
+    )
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True))
     else:
-        print(fleet_experiment.format_result(results))
+        print(text)
     return 0
 
 
@@ -250,7 +253,7 @@ def _cmd_telemetry(args):
     return 0
 
 
-def _summarise(result, duration_ns):
+def _summarise(result):
     rows = []
     for key, workload in sorted(result.workloads.items()):
         extra = ""
@@ -271,28 +274,37 @@ def _summarise(result, duration_ns):
         print("\nmicro-sliced cores at end: %d" % result.micro_cores)
 
 
-def _cmd_sweep(args):
-    from .sim.time import ms as _ms
-
-    duration = _ms(args.duration_ms)
-    warmup = _ms(min(args.duration_ms // 2, 120))
+def _policy_rows(args, policies, details):
+    """Co-run ``args.workload`` with swaptions once per ``(label,
+    policy)``; one row each: label, rate, rate vs the first row, then
+    ``details(result)``."""
+    duration = ms(args.duration_ms)
+    warmup = ms(min(args.duration_ms // 2, 120))
     rows = []
     base_rate = None
-    for cores in range(0, args.max_cores + 1):
-        policy = PolicySpec.baseline() if cores == 0 else PolicySpec.static(cores)
+    for label, policy in policies:
         result = corun_scenario(args.workload, policy=policy, seed=args.seed).build().run(
             duration, warmup_ns=warmup
         )
         rate = result.rate(args.workload)
         if base_rate is None:
             base_rate = rate
-        rows.append([
-            cores,
-            "%.0f" % rate,
-            "%.2fx" % (rate / base_rate if base_rate else 0),
-            "%.0f" % result.rate("swaptions"),
-            result.total_yields("vm1"),
-        ])
+        rows.append(
+            [label, "%.0f" % rate, "%.2fx" % (rate / base_rate if base_rate else 0)]
+            + details(result)
+        )
+    return rows
+
+
+def _cmd_sweep(args):
+    policies = [
+        (cores, PolicySpec.baseline() if cores == 0 else PolicySpec.static(cores))
+        for cores in range(0, args.max_cores + 1)
+    ]
+    rows = _policy_rows(
+        args, policies,
+        lambda result: ["%.0f" % result.rate("swaptions"), result.total_yields("vm1")],
+    )
     print(render_table(
         ["micro cores", "%s/s" % args.workload, "vs baseline", "swaptions/s", "yields"],
         rows,
@@ -302,30 +314,15 @@ def _cmd_sweep(args):
 
 
 def _cmd_compare(args):
-    from .sim.time import ms as _ms
-
-    duration = _ms(args.duration_ms)
-    warmup = _ms(min(args.duration_ms // 2, 120))
-    rows = []
-    base_rate = None
-    for label, policy in (
+    policies = (
         ("baseline", PolicySpec.baseline()),
         ("static:%d" % args.cores, PolicySpec.static(args.cores)),
         ("dynamic", common.dynamic_policy()),
-    ):
-        result = corun_scenario(args.workload, policy=policy, seed=args.seed).build().run(
-            duration, warmup_ns=warmup
-        )
-        rate = result.rate(args.workload)
-        if base_rate is None:
-            base_rate = rate
-        rows.append([
-            label,
-            "%.0f" % rate,
-            "%.2fx" % (rate / base_rate if base_rate else 0),
-            result.hv_counters.get("migrations", 0),
-            result.micro_cores,
-        ])
+    )
+    rows = _policy_rows(
+        args, policies,
+        lambda result: [result.hv_counters.get("migrations", 0), result.micro_cores],
+    )
     print(render_table(
         ["policy", "%s/s" % args.workload, "vs baseline", "migrations", "final cores"],
         rows,
@@ -336,10 +333,9 @@ def _cmd_compare(args):
 
 def _cmd_scenario(args, builder):
     scenario = builder(args.workload, policy=_parse_policy(args.policy), seed=args.seed)
-    scheduler = getattr(args, "scheduler", None)
-    if scheduler is not None:
-        sched_registry.get(scheduler)  # unknown name -> ConfigError, exit 2
-        scenario.scheduler = scheduler
+    if args.scheduler is not None:
+        sched_registry.get(args.scheduler)  # unknown name -> ConfigError, exit 2
+        scenario.scheduler = args.scheduler
     trace = _trace_request(args)
     if trace is not None:
         scenario.trace = True
@@ -347,14 +343,13 @@ def _cmd_scenario(args, builder):
         if args.trace_out:
             scenario.trace_capacity = None  # lossless when exporting
     duration = ms(args.duration_ms)
-    faults_request = getattr(args, "faults", None)
-    if faults_request is not None:
+    if args.faults is not None:
         from .faults import resolve_plan
 
-        scenario.faults = resolve_plan(faults_request, duration)
+        scenario.faults = resolve_plan(args.faults, duration)
     system = scenario.build()
     result = system.run(duration)
-    _summarise(result, duration)
+    _summarise(result)
     if result.faults is not None:
         _report_faults(result.faults)
     if trace is not None:
@@ -451,12 +446,32 @@ def build_parser():
         "--seed", type=int, default=42,
         help="root RNG seed (default: 42; every stream derives from it)")
 
-    sub.add_parser("list", help="list experiments and workloads")
+    # `run` and `fleet` both drive the registry over the runner; they
+    # share its execution flags the same way.
+    exec_parent = argparse.ArgumentParser(add_help=False)
+    exec_parent.add_argument(
+        "--scale", type=float, default=None,
+        help="duration multiplier (default: REPRO_BENCH_SCALE or 1.0)")
+    exec_parent.add_argument(
+        "--workers", type=_parse_workers, default=None, metavar="N|auto",
+        help="simulation worker processes; 'auto' = one per CPU "
+        "(default: REPRO_RUNNER_WORKERS or 1)")
+    exec_parent.add_argument(
+        "--no-cache", action="store_true",
+        help="ignore and do not write the on-disk result cache")
+    exec_parent.add_argument(
+        "--progress", action="store_true",
+        help="live per-job status line on stderr (cache hits, worker "
+        "pickups, completions)")
+
+    sub.add_parser("list", help="list experiments and workloads").set_defaults(
+        handler=_cmd_list)
 
     run_p = sub.add_parser(
         "run", help="regenerate one or more paper tables/figures",
-        parents=[seed_parent],
+        parents=[seed_parent, exec_parent],
     )
+    run_p.set_defaults(handler=_cmd_run)
     # Per-item validation via type=, not choices=: argparse (< 3.12)
     # rejects an empty nargs="*" list against choices, which would
     # break bare `repro run --all`.
@@ -467,26 +482,16 @@ def build_parser():
                        "pass" % ", ".join(registry.available()))
     run_p.add_argument("--all", action="store_true",
                        help="run every registered experiment as one batch")
-    run_p.add_argument("--scale", type=float, default=None,
-                       help="duration multiplier (default: REPRO_BENCH_SCALE or 1.0)")
-    run_p.add_argument("--workers", type=_parse_workers, default=None,
-                       metavar="N|auto",
-                       help="simulation worker processes; 'auto' = one per CPU "
-                       "(default: REPRO_RUNNER_WORKERS or 1)")
-    run_p.add_argument("--no-cache", action="store_true",
-                       help="ignore and do not write the on-disk result cache")
-    run_p.add_argument("--progress", action="store_true",
-                       help="live per-job status line on stderr (cache hits, "
-                       "worker pickups, completions)")
     _add_scheduler_arg(run_p)
     _add_trace_args(run_p)
     _add_faults_arg(run_p)
 
-    for name, help_text in (
-        ("corun", "run a workload co-located with swaptions"),
-        ("solo", "run a workload alone on the host"),
+    for name, help_text, builder in (
+        ("corun", "run a workload co-located with swaptions", corun_scenario),
+        ("solo", "run a workload alone on the host", solo_scenario),
     ):
         p = sub.add_parser(name, help=help_text, parents=[seed_parent])
+        p.set_defaults(handler=functools.partial(_cmd_scenario, builder=builder))
         p.add_argument("workload", choices=workload_registry.available())
         p.add_argument("--policy", default="baseline",
                        help="baseline | static:N | dynamic")
@@ -497,13 +502,15 @@ def build_parser():
 
     sub.add_parser(
         "schedulers", help="list scheduler backends (for --scheduler)"
-    )
+    ).set_defaults(handler=_cmd_schedulers)
 
     faults_p = sub.add_parser("faults", help="list built-in fault plans")
+    faults_p.set_defaults(handler=_cmd_faults)
     faults_p.add_argument("--kinds", action="store_true",
                           help="also document every fault kind and its parameters")
 
     an_p = sub.add_parser("analyze", help="analyze an exported JSONL trace")
+    an_p.set_defaults(handler=_cmd_analyze)
     an_p.add_argument("file", help="trace file written by --trace-out")
     an_p.add_argument("--diff", metavar="OTHER", default=None,
                       help="compare event counts against a second trace file")
@@ -514,6 +521,7 @@ def build_parser():
     tel_p = sub.add_parser(
         "telemetry", help="dump the last run's runner/pool/cache metrics"
     )
+    tel_p.set_defaults(handler=_cmd_telemetry)
     tel_p.add_argument("--format", choices=("json", "prom"), default="json",
                        help="output format: sorted-key JSON (default) or "
                        "Prometheus text exposition")
@@ -525,6 +533,7 @@ def build_parser():
         "sweep", help="sweep micro-sliced core counts for one workload",
         parents=[seed_parent],
     )
+    sweep_p.set_defaults(handler=_cmd_sweep)
     sweep_p.add_argument("workload", choices=workload_registry.available())
     sweep_p.add_argument("--max-cores", type=int, default=4)
     sweep_p.add_argument("--duration-ms", type=int, default=250)
@@ -533,6 +542,7 @@ def build_parser():
         "compare", help="compare baseline/static/dynamic for one workload",
         parents=[seed_parent],
     )
+    cmp_p.set_defaults(handler=_cmd_compare)
     cmp_p.add_argument("workload", choices=workload_registry.available())
     cmp_p.add_argument("--cores", type=int, default=1,
                        help="static micro-sliced core count")
@@ -540,8 +550,9 @@ def build_parser():
 
     fleet_p = sub.add_parser(
         "fleet", help="simulate a multi-host fleet under placement policies",
-        parents=[seed_parent],
+        parents=[seed_parent, exec_parent],
     )
+    fleet_p.set_defaults(handler=_cmd_fleet)
     fleet_p.add_argument("--policies", default=None, metavar="A,B,...",
                          help="comma-separated placement policies to compare "
                          "(default: all registered; see 'repro list')")
@@ -554,17 +565,6 @@ def build_parser():
     fleet_p.add_argument("--migration-cost-ms", type=float, default=5.0,
                          help="live-migration cost at scale 1.0 (scales with "
                          "the epoch)")
-    fleet_p.add_argument("--scale", type=float, default=None,
-                         help="duration multiplier (default: REPRO_BENCH_SCALE "
-                         "or 1.0)")
-    fleet_p.add_argument("--workers", type=_parse_workers, default=None,
-                         metavar="N|auto",
-                         help="simulation worker processes; 'auto' = one per "
-                         "CPU (default: REPRO_RUNNER_WORKERS or 1)")
-    fleet_p.add_argument("--no-cache", action="store_true",
-                         help="ignore and do not write the on-disk result cache")
-    fleet_p.add_argument("--progress", action="store_true",
-                         help="live per-job status line on stderr")
     fleet_p.add_argument("--json", action="store_true",
                          help="emit summaries and checks as sorted-key JSON "
                          "(byte-identical across same-seed runs)")
@@ -575,6 +575,7 @@ def build_parser():
         help="run the long-lived HTTP simulation service "
         "(see docs/serve.md)",
     )
+    serve_p.set_defaults(handler=_cmd_serve)
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=8765,
@@ -598,34 +599,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "corun":
-            return _cmd_scenario(args, corun_scenario)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "telemetry":
-            return _cmd_telemetry(args)
-        if args.command == "faults":
-            return _cmd_faults(args)
-        if args.command == "schedulers":
-            return _cmd_schedulers(args)
-        if args.command == "fleet":
-            return _cmd_fleet(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "solo":
-            return _cmd_scenario(args, lambda wl, policy, seed: solo_scenario(wl, policy=policy, seed=seed))
+        return args.handler(args)
     except ReproError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

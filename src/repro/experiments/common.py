@@ -9,6 +9,7 @@ stable statistics at 4x wall cost).
 import os
 
 from ..core.policy import PolicySpec
+from ..errors import ConfigError
 from ..runner import baseline_policy, dynamic_policy as dynamic_policy_desc, static_policy
 from ..sim.time import ms
 
@@ -29,11 +30,15 @@ DYNAMIC_EPOCH = ms(200)
 
 
 def scale():
-    """Global duration multiplier from ``REPRO_BENCH_SCALE``."""
+    """Global duration multiplier from ``REPRO_BENCH_SCALE`` (floored
+    at 0.01); a value that is not a number is a :class:`ConfigError`."""
+    text = os.environ.get("REPRO_BENCH_SCALE", "1.0")
     try:
-        value = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+        value = float(text)
     except ValueError:
-        return 1.0
+        raise ConfigError(
+            "REPRO_BENCH_SCALE=%r is not a number (e.g. 0.1)" % text
+        ) from None
     return max(value, 0.01)
 
 

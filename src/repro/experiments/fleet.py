@@ -28,7 +28,6 @@ micro-sliced cores then attack *within* each host.
 
 from ..errors import ConfigError
 from ..fleet import FleetSpec, run_fleet
-from ..fleet import placement
 from ..metrics.report import render_table
 
 #: Policies compared by default (every registered one, random first so

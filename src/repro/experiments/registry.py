@@ -1,5 +1,13 @@
-"""Name → experiment module registry (used by the CLI and the bench
-harness)."""
+"""Name → experiment module registry, and the one place that turns an
+experiment request into work.
+
+Every caller — ``repro run``/``repro fleet``, ``repro serve``, the
+payload manifest, tests and benchmarks — goes through :func:`prepare`
+(directly or via :func:`run`/:func:`run_many`), so the request checks
+and the cross-cutting job rewrites (scheduler, faults, trace) live
+here and nowhere else."""
+
+import inspect
 
 from ..errors import ConfigError, FaultError
 from .. import runner
@@ -60,146 +68,79 @@ def get(name):
     return module
 
 
-def run(
-    name,
-    workers=None,
-    cache=None,
-    trace=None,
-    trace_out=None,
-    faults=None,
-    scheduler=None,
-    progress=None,
+class Work:
+    """A checked request, ready to execute.
+
+    Either ``jobs`` plus ``finish(by_tag) -> (results, text)`` — for a
+    plan experiment, the fault-invariant check, ``reduce`` and
+    ``format_result`` — or, with ``jobs`` None, a driver experiment's
+    ``drive(workers, cache, progress) -> (results, text)``: its jobs
+    are born mid-run from its own feedback loop."""
+
+    __slots__ = ("name", "jobs", "finish", "drive")
+
+    def __init__(self, name, jobs=None, finish=None, drive=None):
+        self.name = name
+        self.jobs = jobs
+        self.finish = finish
+        self.drive = drive
+
+
+def prepare(
+    name, seed=42, scale_override=None, scheduler=None, faults=None, trace=None,
     **kwargs
 ):
-    """Run one experiment; returns ``(results, formatted_text)``.
+    """Check one experiment request and turn it into :class:`Work`.
 
-    ``workers``/``cache`` pass through to :func:`repro.runner.execute`
-    (None = environment defaults); every experiment module exposes
-    ``plan()``/``reduce()``, so the registry drives the shared executor
-    rather than each module's serial ``run()``.
-
-    ``trace`` (a ``{"kinds": ...}`` request dict) turns on structured
-    tracing for every job in the plan; ``trace_out`` writes the combined
-    trace — records labelled with their job tag — to a JSONL file that
-    ``repro analyze`` consumes. Trace payloads travel inside the result
-    dicts, so serial, parallel, and cache-replay runs export
-    byte-identical files.
-
-    ``faults`` (a built-in plan name, a plan-JSON path, a plan dict, or
-    a :class:`~repro.faults.FaultPlan`) applies one fault plan to every
-    job in the plan — built-in names are re-resolved against each job's
-    own warmup+duration horizon. After a faulted run, any invariant
-    violation raises :class:`~repro.errors.FaultError` carrying the full
-    per-job report.
-
-    ``scheduler`` (a repro.sched backend name) re-runs the experiment's
-    whole plan under that normal-pool backend — jobs that already pin a
-    backend (e.g. table1's ``fixed_uslice``, the ``baselines`` matrix)
-    keep their own. The name is validated up front so an unknown backend
-    fails before any simulation runs.
+    Every check happens here, once, before any simulation: the name,
+    the keyword arguments the experiment takes, the scheduler backend,
+    and that a driver gets no ``faults``/``trace``. ``scheduler`` sets
+    the normal-pool backend of every job that does not pin its own;
+    ``credit`` is the default, so it sets nothing and keeps every cache
+    key. ``trace`` (``{"kinds": ...}``) traces every job. ``faults``
+    (a built-in name, a plan-JSON path, a plan dict, or a
+    :class:`~repro.faults.FaultPlan`) faults every job, built-in names
+    resolved against each job's own horizon.
     """
-    outcome = run_many(
-        [name],
-        workers=workers,
-        cache=cache,
-        trace=trace,
-        trace_out=trace_out,
-        faults=faults,
-        scheduler=scheduler,
-        progress=progress,
-        **kwargs
-    )
-    return outcome[name]
-
-
-def run_many(
-    names,
-    workers=None,
-    cache=None,
-    trace=None,
-    trace_out=None,
-    faults=None,
-    scheduler=None,
-    progress=None,
-    **kwargs
-):
-    """Run a batch of experiments over **one** worker pool and **one**
-    cache-probe pass; returns ``{name: (results, formatted_text)}``.
-
-    All plans execute through :func:`repro.runner.execute_many`, so a
-    physical simulation shared by several experiments (e.g. the seed-42
-    gmake co-run baseline in fig4, table2, and table4a) is simulated
-    once for the whole batch, and the persistent worker pool spins up a
-    single time. ``trace_out`` requires a single experiment (a combined
-    trace file spanning experiments would conflate job tags).
-
-    ``progress`` is a ``callback(event, tag, done, total)`` hook fed by
-    the executor's live job stream (cache hits, worker pickups,
-    completions) — ``repro run --progress`` plugs its status-line
-    renderer in here.
-    """
-    names = list(dict.fromkeys(names))  # dedupe, keep order
-    if trace_out is not None and len(names) != 1:
-        raise ConfigError("--trace-out requires exactly one experiment")
-    modules = {name: get(name) for name in names}
-    drivers = [name for name in names if is_driver(modules[name])]
-    if drivers and (trace is not None or trace_out is not None or faults is not None):
-        # A driver's jobs are born mid-run from its own feedback loop;
-        # cross-cutting per-job rewrites would silently change its
-        # control flow, so refuse instead of half-applying.
-        raise ConfigError(
-            "--trace/--trace-out/--faults are not supported by driver "
-            "experiment(s): %s" % ", ".join(drivers)
-        )
+    module = get(name)
     if scheduler is not None:
         sched_registry.get(scheduler)  # raises ConfigError on unknown name
-    plans = {}
-    for name, module in modules.items():
-        if is_driver(module):
-            continue
-        jobs = module.plan(**kwargs)
-        _prepare_plan(jobs, trace=trace, faults=faults, scheduler=scheduler)
-        plans[name] = jobs
-    by_plan = {}
-    if plans:
-        by_plan = runner.execute_many(
-            plans, workers=workers, cache=cache, progress=progress
-        )
-    outcome = {}
-    for name in names:
-        module = modules[name]
-        if is_driver(module):
+        if scheduler == "credit":
+            scheduler = None
+    kwargs.update(seed=seed, scale_override=scale_override)
+    driver = is_driver(module)
+    params = inspect.signature(module.drive if driver else module.plan).parameters
+    if not any(param.kind is param.VAR_KEYWORD for param in params.values()):
+        unknown = sorted(set(kwargs) - set(params))
+        if unknown:
+            raise ConfigError(
+                "experiment %r does not accept %s"
+                % (name, ", ".join(map(repr, unknown)))
+            )
+
+    if driver:
+        refused = [key for key, value in (("faults", faults), ("trace", trace))
+                   if value is not None]
+        if refused:
+            raise ConfigError(
+                "driver experiment %r does not accept %s"
+                % (name, " or ".join("'%s'" % key for key in refused))
+            )
+
+        def drive(workers, cache, progress):
             results = module.drive(
-                workers=workers,
-                cache=cache,
-                progress=progress,
-                scheduler=scheduler,
-                **kwargs
+                workers=workers, cache=cache, progress=progress,
+                scheduler=scheduler, **kwargs
             )
-            outcome[name] = (results, module.format_result(results))
-            continue
-        by_tag = by_plan[name]
-        if trace_out is not None:
-            from ..sim.trace import write_jsonl
+            return results, module.format_result(results)
 
-            write_jsonl(
-                trace_out, {job.tag: by_tag[job.tag].trace for job in plans[name]}
-            )
-        _check_fault_invariants(by_tag)
-        results = module.reduce(by_tag)
-        outcome[name] = (results, module.format_result(results))
-    return outcome
+        return Work(name, drive=drive)
 
-
-def _prepare_plan(jobs, trace=None, faults=None, scheduler=None):
-    """Apply the cross-cutting CLI knobs to every job in a plan."""
-    if scheduler is not None:
-        sched_registry.get(scheduler)  # raises ConfigError on unknown name
-        for job in jobs:
-            if scheduler != "credit" and "scheduler" not in job.overrides:
-                job.overrides["scheduler"] = scheduler
-    if trace is not None:
-        for job in jobs:
+    jobs = module.plan(**kwargs)
+    for job in jobs:
+        if scheduler is not None and "scheduler" not in job.overrides:
+            job.overrides["scheduler"] = scheduler
+        if trace is not None:
             job.trace = dict(trace)
     if faults is not None:
         from ..faults import resolve_plan
@@ -208,6 +149,67 @@ def _prepare_plan(jobs, trace=None, faults=None, scheduler=None):
             if job.faults is None:
                 horizon = job.warmup_ns + job.duration_ns
                 job.faults = resolve_plan(faults, horizon).to_dict()
+
+    def finish(by_tag):
+        _check_fault_invariants(by_tag)
+        results = module.reduce(by_tag)
+        return results, module.format_result(results)
+
+    return Work(name, jobs=jobs, finish=finish)
+
+
+def run(name, workers=None, cache=None, trace_out=None, progress=None, **request):
+    """Run one experiment; returns ``(results, formatted_text)``.
+    ``request`` is what :func:`prepare` takes; the rest is as for
+    :func:`run_many`."""
+    outcome = run_many(
+        [name], workers=workers, cache=cache, trace_out=trace_out,
+        progress=progress, **request
+    )
+    return outcome[name]
+
+
+def run_many(names, workers=None, cache=None, trace_out=None, progress=None,
+             **request):
+    """Run a batch of experiments over **one** worker pool and **one**
+    cache-probe pass; returns ``{name: (results, formatted_text)}``.
+
+    Every name is prepared first, so a bad request fails before any
+    simulation. The plans then share one
+    :func:`repro.runner.execute_many` call, so a point several
+    experiments plan (e.g. the seed-42 gmake co-run baseline) is
+    simulated once; drivers run after, one by one. ``workers``/``cache``
+    go to the executor (None = environment defaults); ``progress`` is
+    its ``callback(event, tag, done, total)`` hook. ``trace_out``
+    writes the tag-labelled trace of a single plan experiment as the
+    JSONL that ``repro analyze`` reads.
+    """
+    names = list(dict.fromkeys(names))  # dedupe, keep order
+    if trace_out is not None and len(names) != 1:
+        raise ConfigError("--trace-out requires exactly one experiment")
+    works = {name: prepare(name, **request) for name in names}
+    if trace_out is not None and works[names[0]].jobs is None:
+        raise ConfigError(
+            "driver experiment %r does not accept a trace" % names[0]
+        )
+    plans = {name: work.jobs for name, work in works.items() if work.jobs is not None}
+    by_plan = {}
+    if plans:
+        by_plan = runner.execute_many(
+            plans, workers=workers, cache=cache, progress=progress
+        )
+    outcome = {}
+    for name, work in works.items():
+        if work.jobs is None:
+            outcome[name] = work.drive(workers, cache, progress)
+            continue
+        by_tag = by_plan[name]
+        if trace_out is not None:
+            from ..sim.trace import write_jsonl
+
+            write_jsonl(trace_out, {job.tag: by_tag[job.tag].trace for job in work.jobs})
+        outcome[name] = work.finish(by_tag)
+    return outcome
 
 
 def _check_fault_invariants(by_tag):

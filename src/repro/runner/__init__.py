@@ -3,15 +3,15 @@ executor, and a content-addressed result cache.
 
 Every experiment module splits into ``plan()`` (emit a list of
 :class:`SimJob` specs) and ``reduce()`` (fold ``{tag: RunResult}`` back
-into the historical result shape); ``run()`` is simply
-``reduce(execute(plan(...)))``. Because jobs are self-describing and
-deterministic, :func:`execute` can fan them out over the persistent
-worker pool (``REPRO_RUNNER_WORKERS`` / ``--workers``, spawned once
-per process and shared across calls — see :mod:`repro.runner.pool`)
-and replay any point it has simulated before from ``.repro-cache/``
-(``REPRO_CACHE=off`` / ``--no-cache`` to disable). Whole batches of
-plans share one pool and one cache-probe pass through
-:func:`execute_many` (``repro run --all``).
+into the experiment's result); :mod:`repro.experiments.registry`
+runs ``reduce(execute(plan(...)))`` for every one of them. Because
+jobs are self-describing and deterministic, :func:`execute` can fan
+them out over the persistent worker pool (``REPRO_RUNNER_WORKERS`` /
+``--workers``, spawned once per process and shared across calls — see
+:mod:`repro.runner.pool`) and replay any point it has simulated
+before from ``.repro-cache/`` (``REPRO_CACHE=off`` / ``--no-cache`` to
+disable). Whole batches of plans share one pool and one cache-probe
+pass through :func:`execute_many` (``repro run --all``).
 """
 
 from . import cache, costmodel, pool

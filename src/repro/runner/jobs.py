@@ -6,7 +6,7 @@ workload kwargs, which policy, seed, duration, and warmup. Experiment
 modules emit SimJobs from their ``plan()``; the executor materialises
 them — in this process or in a worker process — with :func:`run_job`;
 each experiment's ``reduce()`` then folds the hydrated results back
-into its historical ``run()`` return shape.
+into its result.
 
 Jobs deliberately carry *descriptions*, not live objects: a worker
 process rebuilds the scenario from the spec, which keeps jobs cheap to

@@ -142,10 +142,12 @@ class ServeApp:
             if request.method == "GET":
                 return "experiments", self._list_experiments()
             if request.method == "POST":
-                return "experiments", await self._submit(request, compile_experiment)
+                return "experiments", await self._submit(
+                    request, "experiment", compile_experiment
+                )
             raise HttpError(405, "use GET or POST on /experiments")
         if path == "/jobs" and request.method == "POST":
-            return "jobs", await self._submit(request, compile_job)
+            return "jobs", await self._submit(request, "job", compile_job)
         if path == "/jobs" and request.method == "GET":
             return "jobs", self._list_jobs()
         if parts and parts[0] == "jobs" and len(parts) >= 2:
@@ -205,7 +207,7 @@ class ServeApp:
 
     # -- submission ----------------------------------------------------
 
-    async def _submit(self, request, compiler):
+    async def _submit(self, request, kind, compiler):
         payload = request.json()
         client = self._client_of(request)
         try:
@@ -213,7 +215,7 @@ class ServeApp:
         except ValidationError as err:
             raise HttpError(400, str(err))
         try:
-            sub, hit = await self.manager.submit(work, client, self.admission)
+            sub, hit = await self.manager.submit(kind, work, client, self.admission)
         except Rejection as err:
             return error_response(
                 err.status, err.detail,

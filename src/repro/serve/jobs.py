@@ -36,6 +36,7 @@ import time
 
 from ..errors import ReproError
 from ..experiments import registry as experiment_registry
+from ..experiments.registry import Work
 from ..experiments.results import RunResult
 from ..obs import telemetry
 from ..runner import cache as result_cache
@@ -74,11 +75,11 @@ WAVE_MAX = 16
 #: enumerable job plan to predict from; feeds Retry-After only.
 DRIVER_PREDICT_SECONDS = 5.0
 
-#: Experiment-submission knobs every experiment accepts.
-_EXPERIMENT_KEYS = ("experiment", "seed", "scale", "scheduler", "faults")
-#: Extra knobs accepted by driver experiments (the fleet spec).
-_DRIVER_KEYS = ("policies", "hosts", "epochs", "rate", "overcommit",
-                "migration_cost_ms")
+#: Keys an experiment submission may carry; the fleet-spec knobs after
+#: ``faults`` are refused by every experiment that does not take them.
+_EXPERIMENT_KEYS = ("experiment", "seed", "scale", "scheduler", "faults",
+                    "policies", "hosts", "epochs", "rate", "overcommit",
+                    "migration_cost_ms")
 #: Keys a raw SimJob submission may carry.
 _JOB_KEYS = ("tag", "scenario", "duration_ns", "warmup_ns", "seed",
              "scenario_kwargs", "policy", "overrides", "trace", "faults")
@@ -118,20 +119,6 @@ def _number_field(payload, key, default, minimum=None):
     return value
 
 
-class Work:
-    """A validated submission compiled to something executable: either
-    a job plan plus a finalizer, or a driver callable."""
-
-    __slots__ = ("kind", "name", "jobs", "finalize", "driver")
-
-    def __init__(self, kind, name, jobs=None, finalize=None, driver=None):
-        self.kind = kind  # "experiment" | "job"
-        self.name = name
-        self.jobs = jobs  # [SimJob] or None for drivers
-        self.finalize = finalize  # {tag: RunResult} -> result dict
-        self.driver = driver  # (workers, cache, progress) -> result dict
-
-
 def _validate_scheduler(name):
     if name is None:
         return None
@@ -144,10 +131,11 @@ def _validate_scheduler(name):
 
 
 def _validate_faults(faults):
-    """A fault request: builtin plan name or canonical plan dict."""
+    """A fault request: a builtin plan name, or a plan dict parsed into
+    its canonical form. Never a path: the service reads no files."""
     if faults is None:
         return None
-    from ..faults import builtin_plans
+    from ..faults import FaultPlan, builtin_plans
 
     if isinstance(faults, str):
         _require(faults in builtin_plans(),
@@ -155,79 +143,54 @@ def _validate_faults(faults):
                  % (faults, ", ".join(builtin_plans())))
         return faults
     _require(isinstance(faults, dict), "'faults' must be a plan name or dict")
-    return faults
+    try:
+        return FaultPlan.from_dict(faults).to_dict()
+    except (ReproError, TypeError, ValueError) as err:
+        raise ValidationError("bad fault plan: %s" % err)
 
 
 def compile_experiment(payload):
-    """Validate an experiment submission and compile it to
-    :class:`Work`. Raises :class:`ValidationError` on anything a
-    registry does not recognise."""
+    """Type-check an experiment submission and prepare it through the
+    experiment registry, which does every other check. Raises
+    :class:`ValidationError` on anything either does not accept."""
     _require(isinstance(payload, dict), "expected a JSON object")
     name = payload.get("experiment")
     _require(isinstance(name, str) and name,
              "'experiment' is required (see GET /experiments)")
-    try:
-        module = experiment_registry.get(name)
-    except ReproError as err:
-        raise ValidationError(str(err))
-    driver = experiment_registry.is_driver(module)
-    allowed = _EXPERIMENT_KEYS + (_DRIVER_KEYS if driver else ())
-    unknown = sorted(set(payload) - set(allowed))
+    unknown = sorted(set(payload) - set(_EXPERIMENT_KEYS))
     _require(not unknown, "unknown field(s) %s (allowed: %s)"
-             % (", ".join(map(repr, unknown)), ", ".join(allowed)))
+             % (", ".join(map(repr, unknown)), ", ".join(_EXPERIMENT_KEYS)))
 
-    seed = _int_field(payload, "seed", 42)
-    scale = payload.get("scale")
-    if scale is not None:
-        scale = _number_field(payload, "scale", None, minimum=0.0)
-    scheduler = _validate_scheduler(payload.get("scheduler"))
-    faults = _validate_faults(payload.get("faults"))
+    request = {"seed": _int_field(payload, "seed", 42)}
+    if payload.get("scale") is not None:
+        request["scale_override"] = _number_field(payload, "scale", None, minimum=0.0)
+    scheduler = payload.get("scheduler")
+    _require(scheduler is None or isinstance(scheduler, str),
+             "'scheduler' must be a backend name")
+    request["scheduler"] = scheduler
+    request["faults"] = _validate_faults(payload.get("faults"))
+    if "policies" in payload:
+        from ..fleet import placement
 
-    if driver:
-        _require(faults is None,
-                 "driver experiment %r does not accept 'faults'" % name)
-        kwargs = {"seed": seed, "scale_override": scale, "scheduler": scheduler}
-        if "policies" in payload:
-            from ..fleet import placement
-
-            policies = payload["policies"]
-            _require(isinstance(policies, list) and policies
-                     and all(isinstance(p, str) for p in policies),
-                     "'policies' must be a non-empty list of names")
-            for policy in policies:
-                _require(policy in placement.available(),
-                         "unknown placement policy %r (available: %s)"
-                         % (policy, ", ".join(placement.available())))
-            kwargs["policies"] = policies
-        for key in ("hosts", "epochs"):
-            if key in payload:
-                kwargs[key] = _int_field(payload, key, None, minimum=1)
-        for key in ("rate", "overcommit", "migration_cost_ms"):
-            if key in payload:
-                kwargs[key] = _number_field(payload, key, None, minimum=0.0)
-
-        def drive(workers, cache, progress):
-            results = module.drive(
-                workers=workers, cache=cache, progress=progress, **kwargs
-            )
-            return {"results": results, "formatted": module.format_result(results)}
-
-        return Work("experiment", name, driver=drive)
-
+        policies = payload["policies"]
+        _require(isinstance(policies, list) and policies
+                 and all(isinstance(p, str) for p in policies),
+                 "'policies' must be a non-empty list of names")
+        for policy in policies:
+            _require(policy in placement.available(),
+                     "unknown placement policy %r (available: %s)"
+                     % (policy, ", ".join(placement.available())))
+        request["policies"] = policies
+    for key in ("hosts", "epochs"):
+        if key in payload:
+            request[key] = _int_field(payload, key, None, minimum=1)
+    for key in ("rate", "overcommit", "migration_cost_ms"):
+        if key in payload:
+            request[key] = _number_field(payload, key, None, minimum=0.0)
     try:
-        jobs = module.plan(seed=seed, scale_override=scale)
-        experiment_registry._prepare_plan(
-            jobs, trace=None, faults=faults, scheduler=scheduler
-        )
+        return experiment_registry.prepare(name, **request)
     except ReproError as err:
         raise ValidationError(str(err))
-
-    def finalize(by_tag):
-        experiment_registry._check_fault_invariants(by_tag)
-        results = module.reduce(by_tag)
-        return {"results": results, "formatted": module.format_result(results)}
-
-    return Work("experiment", name, jobs=jobs, finalize=finalize)
 
 
 def compile_job(payload):
@@ -300,23 +263,26 @@ def compile_job(payload):
         faults=faults,
     )
 
-    def finalize(by_tag):
-        return {"payload": by_tag[tag].to_dict()}
+    def finish(by_tag):
+        return by_tag[tag].to_dict(), None
 
-    return Work("job", "%s:%s" % (scenario, tag), jobs=[job], finalize=finalize)
+    return Work("%s:%s" % (scenario, tag), jobs=[job], finish=finish)
 
 
 class Submission:
-    """One accepted unit of client work and its event history."""
+    """One accepted unit of client work and its event history.
+    ``kind`` is ``"experiment"`` or ``"job"``: the route it came in on,
+    which also picks the shape of its result."""
 
     _ids = itertools.count(1)
 
-    __slots__ = ("id", "work", "client", "state", "events", "result", "error",
-                 "cache", "jobs_done", "jobs_total", "created_unix",
+    __slots__ = ("id", "kind", "work", "client", "state", "events", "result",
+                 "error", "cache", "jobs_done", "jobs_total", "created_unix",
                  "_queued_at", "cond", "predicted_seconds")
 
-    def __init__(self, work, client, predicted_seconds=0.0):
+    def __init__(self, kind, work, client, predicted_seconds=0.0):
         self.id = "j-%06d" % next(Submission._ids)
+        self.kind = kind
         self.work = work
         self.client = client
         self.state = QUEUED
@@ -334,7 +300,7 @@ class Submission:
     def summary(self):
         out = {
             "id": self.id,
-            "kind": self.work.kind,
+            "kind": self.kind,
             "name": self.work.name,
             "client": self.client,
             "state": self.state,
@@ -347,6 +313,13 @@ class Submission:
         if self.error is not None:
             out["error"] = self.error
         return out
+
+    def set_result(self, results, text):
+        """Store a finished result in the shape its route promises."""
+        if self.kind == "job":
+            self.result = {"payload": results}
+        else:
+            self.result = {"results": results, "formatted": text}
 
 
 class JobManager:
@@ -423,8 +396,9 @@ class JobManager:
             payloads[job.tag] = hit
         return payloads
 
-    async def submit(self, work, client, admission):
-        """Admit and enqueue (or fast-path) one compiled submission.
+    async def submit(self, kind, work, client, admission):
+        """Admit and enqueue (or fast-path) one compiled submission of
+        ``kind`` (``"experiment"`` or ``"job"``).
         Returns ``(submission, cache_hit)``; raises
         :class:`~repro.serve.admission.Rejection` on refusal."""
         if admission.draining:
@@ -433,7 +407,7 @@ class JobManager:
             None, self.probe_cache_sync, work
         )
         if payloads is not None:
-            sub = Submission(work, client)
+            sub = Submission(kind, work, client)
             self._register(sub)
             sub.cache = "hit"
             sub.jobs_done = sub.jobs_total
@@ -445,7 +419,7 @@ class JobManager:
                     tag: RunResult.from_dict(payload)
                     for tag, payload in payloads.items()
                 }
-                sub.result = work.finalize(by_tag)
+                sub.set_result(*work.finish(by_tag))
                 self._finish(sub, DONE, {"cache": "hit"})
             except ReproError as err:
                 sub.error = str(err)
@@ -453,7 +427,8 @@ class JobManager:
             return sub, True
 
         admission.admit(client)
-        sub = Submission(work, client, predicted_seconds=self.predict_seconds(work))
+        sub = Submission(kind, work, client,
+                         predicted_seconds=self.predict_seconds(work))
         sub.cache = "miss"
         self._register(sub)
         self._active.add(sub.id)
@@ -578,15 +553,7 @@ class JobManager:
 
         def progress(event, tag, done, total):
             for sub in tag_subs.get(tag, ()):
-                if event in ("hit", "done"):
-                    sub.jobs_done += 1
-                self._post_threadsafe(sub, {
-                    "event": "progress",
-                    "phase": event,
-                    "tag": tag,
-                    "jobs_done": sub.jobs_done,
-                    "jobs_total": sub.jobs_total,
-                })
+                self._post_progress(sub, event, tag)
 
         plans = {sub.id: sub.work.jobs for sub in subs}
         before = _engine_counters()
@@ -613,7 +580,7 @@ class JobManager:
         delta = _counter_delta(before, _engine_counters())
         for sub in subs:
             try:
-                sub.result = sub.work.finalize(by_plan[sub.id])
+                sub.set_result(*sub.work.finish(by_plan[sub.id]))
                 self._complete_sync(sub, DONE, {"cache": "miss", "telemetry": delta})
             except Exception as err:
                 sub.error = str(err)
@@ -621,24 +588,27 @@ class JobManager:
 
     def _execute_driver(self, sub):
         def progress(event, tag, done, total):
-            if event in ("hit", "done"):
-                sub.jobs_done += 1
-            self._post_threadsafe(sub, {
-                "event": "progress",
-                "phase": event,
-                "tag": tag,
-                "jobs_done": sub.jobs_done,
-                "jobs_total": None,
-            })
+            self._post_progress(sub, event, tag)
 
         before = _engine_counters()
         try:
-            sub.result = sub.work.driver(self.workers, self.cache, progress)
+            sub.set_result(*sub.work.drive(self.workers, self.cache, progress))
         except Exception:
             self._fail_sync(sub)
             return
         delta = _counter_delta(before, _engine_counters())
         self._complete_sync(sub, DONE, {"cache": "miss", "telemetry": delta})
+
+    def _post_progress(self, sub, event, tag):
+        if event in ("hit", "done"):
+            sub.jobs_done += 1
+        self._post_threadsafe(sub, {
+            "event": "progress",
+            "phase": event,
+            "tag": tag,
+            "jobs_done": sub.jobs_done,
+            "jobs_total": sub.jobs_total,
+        })
 
     def _fail_sync(self, sub):
         import traceback

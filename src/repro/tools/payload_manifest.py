@@ -61,14 +61,13 @@ def unique_jobs(scale=MANIFEST_SCALE):
 
     jobs = {}
     for name in registry.available():
-        module = registry.get(name)
-        if registry.is_driver(module):
+        plan = registry.prepare(name, scale_override=scale).jobs
+        if plan is None:
             # Driver experiments (e.g. fleet) generate jobs from their
             # own feedback loop — no static plan to pin. Their host
             # jobs are still cache-hashed; they are just not part of
             # the frozen identity gate.
             continue
-        plan = module.plan(scale_override=scale)
         for job in plan:
             key = _sha256(job.canonical())
             if key in jobs:

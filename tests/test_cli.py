@@ -71,6 +71,12 @@ class TestMain:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_bad_bench_scale_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0,1")
+        assert main(["run", "table4c", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_BENCH_SCALE" in err and "'0,1'" in err
+
 
 class TestTraceAndAnalyze:
     def test_trace_flags_parse(self):

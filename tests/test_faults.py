@@ -613,21 +613,22 @@ class TestCliSurfaces:
             _report_faults(digest)
 
     def test_registry_invariant_gate_raises(self):
-        from repro.experiments.registry import _check_fault_invariants
+        from repro.experiments import registry
 
         class _Res:
             faults = {"invariant_violations": ["ipi accounting: op#1 stuck"]}
 
+        work = registry.prepare("table4c", scale_override=0.02)
         with pytest.raises(FaultError, match="faulted job"):
-            _check_fault_invariants({"job": _Res()})
+            work.finish({job.tag: _Res() for job in work.jobs})
 
     def test_registry_invariant_gate_passes_clean(self):
-        from repro.experiments.registry import _check_fault_invariants
+        from repro.experiments import registry
 
-        class _Healthy:
-            faults = None
-
-        class _Degraded:
-            faults = {"invariant_violations": []}
-
-        _check_fault_invariants({"a": _Healthy(), "b": _Degraded()})
+        work = registry.prepare("table4c", scale_override=0.02)
+        by_tag = execute(work.jobs, workers=1, cache=False)
+        healthy, degraded = sorted(by_tag)
+        assert by_tag[healthy].faults is None
+        by_tag[degraded].faults = {"invariant_violations": []}
+        results, text = work.finish(by_tag)
+        assert "Table 4c" in text and set(results) == {"solo", "mixed"}

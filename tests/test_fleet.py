@@ -301,8 +301,9 @@ class TestFleetDeterminism:
 class TestExperimentWiring:
     def test_fleet_is_a_registered_driver(self):
         assert "fleet" in registry.available()
-        assert registry.is_driver(registry.get("fleet"))
-        assert not registry.is_driver(registry.get("fig9"))
+        fleet_work = registry.prepare("fleet")
+        assert fleet_work.jobs is None and fleet_work.drive is not None
+        assert registry.prepare("fig9", scale_override=0.02).jobs
 
     def test_driver_rejects_per_job_rewrites(self):
         with pytest.raises(ConfigError, match="driver"):
@@ -313,6 +314,27 @@ class TestExperimentWiring:
     def test_driver_validates_scheduler_up_front(self):
         with pytest.raises(ConfigError, match="unknown scheduler"):
             registry.run_many(["fleet"], scheduler="warp9")
+
+    def test_credit_scheduler_reuses_default_cache_entries(self, monkeypatch, tmp_path):
+        """``credit`` is the default backend: asking for it by name must
+        hit the cache entries of the default run, not re-simulate."""
+        from repro.obs import telemetry
+
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        request = dict(hosts=2, epochs=2, rate=4.0, scale_override=0.02,
+                       policies=["first_fit"], workers=1)
+
+        def misses():
+            return telemetry.snapshot()["counters"].get("cache.misses", 0)
+
+        before = misses()
+        default = registry.run("fleet", **request)
+        assert misses() > before
+        before = misses()
+        credit = registry.run("fleet", scheduler="credit", **request)
+        assert misses() == before
+        assert credit[1] == default[1]
 
     def test_checks_shape(self):
         def summary(p99, density):

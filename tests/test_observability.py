@@ -144,10 +144,10 @@ class TestRunstateAccount:
 
         seen = set()
         for name in registry.available():
-            module = registry.get(name)
-            if registry.is_driver(module):
+            jobs = registry.prepare(name, seed=5, scale_override=0.02).jobs
+            if jobs is None:
                 continue  # no static plan (fleet); covered by test_fleet
-            job = module.plan(seed=5, scale_override=0.02)[0]
+            job = jobs[0]
             if job.canonical() in seen:
                 continue
             seen.add(job.canonical())

@@ -149,6 +149,10 @@ class TestValidation:
             ({"faults": "nope"}, "unknown fault plan"),
             ({"trace": {"x": 1}}, "'trace' must be"),
             ({"duration_ns": 20_000_000_000}, "service limit"),
+            ({"faults": {"bogus": 1}}, "unknown fault plan keys"),
+            ({"faults": {"faults": "x"}}, "must be a list"),
+            ({"faults": {"faults": [{"kind": "nope", "at_ms": 1}]}},
+             "unknown fault kind"),
         ],
     )
     def test_bad_job_fields_rejected(self, patch, match):
@@ -193,7 +197,7 @@ class TestValidation:
     def test_driver_compiles_without_a_plan(self):
         work = compile_experiment({"experiment": "fleet", "epochs": 2})
         assert work.jobs is None
-        assert work.driver is not None
+        assert work.drive is not None
 
 
 class TestAdmissionController:
