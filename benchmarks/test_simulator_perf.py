@@ -14,7 +14,9 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+from repro.experiments import fig7
 from repro.experiments.scenarios import corun_scenario
+from repro.runner.jobs import build_system
 from repro.sim.engine import Simulator
 from repro.sim.time import ms
 
@@ -111,3 +113,24 @@ class TestScenarioThroughput:
         events = benchmark.pedantic(run_50ms, rounds=1, iterations=1)
         assert events > 0
         _record("corun_events_per_sec", counts[-1] / _mean(benchmark))
+
+
+class TestMicrosliceThroughput:
+    def test_dynamic_job_rate(self, benchmark):
+        """One fig7 ``dynamic`` job at the benchmark's scale 0.1: most
+        deschedules run the detector, and most of its hits end in
+        ``accelerate -> remove -> requeue -> _place`` (scheduler,
+        hypervisor and detector layers rather than the engine)."""
+        job = next(
+            job for job in fig7.plan(scale_override=0.1) if job.tag == "gmake:dynamic"
+        )
+        counts = []
+
+        def run_job():
+            system = build_system(job)
+            system.run(job.duration_ns, warmup_ns=job.warmup_ns)
+            counts.append(system.sim.executed_events)
+            return system.hv.stats.counters.get("migrations")
+
+        assert benchmark.pedantic(run_job, rounds=3, iterations=1) > 0
+        _record("microslice_job_events_per_sec", counts[-1] / _mean(benchmark))

@@ -134,8 +134,9 @@ class CriticalServiceDetector:
         """Inspect the *preempted* (runnable but descheduled) siblings of
         ``vcpu``; returns the critical detections (Figure 1, steps 2-3)."""
         found = []
-        for sibling in vcpu.domain.siblings_of(vcpu):
-            if sibling.running or sibling.state != "runnable":
+        for sibling in vcpu.domain.vcpus:
+            # ``runnable`` excludes running: preempted means queued.
+            if sibling is vcpu or sibling.state != "runnable":
                 continue
             detection = self.inspect(sibling)
             if detection.critical:

@@ -53,6 +53,10 @@ class SymbolTable:
         self._by_name = {}
         self._addresses = []
         self._symbols = []
+        # address -> Symbol | None for every address looked up. A vCPU's
+        # IP is one fixed address per symbol (or the user IP), so the
+        # detector keeps this as small as the table.
+        self._resolved = {}
         for symbol in symbols or []:
             self.add(symbol)
 
@@ -67,6 +71,7 @@ class SymbolTable:
         self._addresses.insert(index, symbol.address)
         self._symbols.insert(index, symbol)
         self._by_name[symbol.name] = symbol
+        self._resolved.clear()
 
     def __len__(self):
         return len(self._symbols)
@@ -86,7 +91,15 @@ class SymbolTable:
 
     def lookup(self, address):
         """Resolve an instruction pointer to the symbol containing it, or
-        ``None`` for user-space / unmapped addresses."""
+        ``None`` for user-space / unmapped addresses. Each address is
+        binary-searched once; repeats are one dict hit."""
+        try:
+            return self._resolved[address]
+        except KeyError:
+            symbol = self._resolved[address] = self._search(address)
+            return symbol
+
+    def _search(self, address):
         if address is None or address < KERNEL_TEXT_BASE:
             return None
         index = bisect.bisect_right(self._addresses, address) - 1

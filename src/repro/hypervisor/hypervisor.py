@@ -521,7 +521,12 @@ class Hypervisor:
 
     def accelerate(self, vcpu, wake=False):
         """Migrate a preempted (or, with ``wake``, blocked) vCPU onto a
-        micro-sliced core. Returns ``True`` on success."""
+        micro-sliced core. Returns ``True`` on success.
+
+        A failed attempt is not free: ``remove`` has already taken the
+        vCPU out, so it re-enters at the tail of its class with the
+        yield flag cleared; testing for a free slot first would keep
+        its place and change the payloads."""
         if vcpu.state == vc.RUNNING or vcpu.pool is self.micro_pool:
             return False
         if not self.micro_pool.pcpus:

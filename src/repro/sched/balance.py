@@ -29,7 +29,7 @@ steal-destination sibling check can never fire — the placement path is
 where stacking is created and where it is prevented.
 """
 
-from .credit import CreditScheduler
+from .credit import BOOST, OVER, UNDER, CreditScheduler
 from .registry import register
 
 
@@ -81,14 +81,15 @@ class BalanceScheduler(CreditScheduler):
             self._runqs[last][priority].append(vcpu)
             vcpu.runq_pcpu = last
             return last
-        target = None
-        best_depth = None
-        for pcpu in self._runqs:
+        target = best_depth = None
+        for pcpu, queues in self._runqs.items():
             if not self._eligible(vcpu, pcpu) or self._has_sibling(vcpu, pcpu):
                 continue
-            depth = self._depth(pcpu)
+            depth = len(queues[BOOST]) + len(queues[UNDER]) + len(queues[OVER])
             if best_depth is None or depth < best_depth:
                 target, best_depth = pcpu, depth
+                if not depth:
+                    break
         if target is not None:
             self._runqs[target][priority].append(vcpu)
             vcpu.runq_pcpu = target

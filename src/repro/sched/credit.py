@@ -60,31 +60,31 @@ class CreditScheduler(Scheduler):
                     self._place(vcpu, priority)
         return None
 
-    def _depth(self, pcpu):
-        queues = self._runqs[pcpu]
-        return sum(len(queues[p]) for p in _PRIORITIES)
-
     def _place(self, vcpu, priority):
         """Insert ``vcpu`` into a pCPU runqueue: last-ran pCPU when
-        eligible (cache affinity), else the shallowest eligible queue."""
-        target = None
+        eligible (cache affinity), else the shallowest eligible queue
+        (the first one on a tie; an empty queue ends the scan)."""
+        runqs = self._runqs
+        affinity = vcpu.affinity
         last = vcpu.last_pcpu
-        if last is not None and last in self._runqs and self._eligible(vcpu, last):
+        if last in runqs and (affinity is None or last.info.index in affinity):
             target = last
-        if target is None:
-            best_depth = None
-            for pcpu in self._runqs:
-                if not self._eligible(vcpu, pcpu):
+        else:
+            target = best_depth = None
+            for pcpu, queues in runqs.items():
+                if affinity is not None and pcpu.info.index not in affinity:
                     continue
-                depth = self._depth(pcpu)
+                depth = len(queues[BOOST]) + len(queues[UNDER]) + len(queues[OVER])
                 if best_depth is None or depth < best_depth:
                     target, best_depth = pcpu, depth
+                    if not depth:
+                        break
             if target is None:
                 raise SchedulerError(
                     "no pCPU in pool %r satisfies affinity of %s"
                     % (self.pool.name if self.pool else "?", vcpu.name)
                 )
-        self._runqs[target][priority].append(vcpu)
+        runqs[target][priority].append(vcpu)
         vcpu.runq_pcpu = target
         return target
 
@@ -185,17 +185,15 @@ class CreditScheduler(Scheduler):
 
         Returns ``True`` when the vCPU was found in a runqueue.
         """
-        owner = vcpu.runq_pcpu
-        candidates = [owner] if owner in self._runqs else list(self._runqs)
-        for pcpu in candidates:
-            queues = self._runqs[pcpu]
+        home = self._runqs.get(vcpu.runq_pcpu)
+        # No (or a foreign) home runqueue recorded: search them all.
+        for queues in (home,) if home is not None else self._runqs.values():
             for priority in _PRIORITIES:
-                try:
-                    queues[priority].remove(vcpu)
-                except ValueError:
-                    continue
-                vcpu.runq_pcpu = None
-                return True
+                queue = queues[priority]
+                if vcpu in queue:
+                    queue.remove(vcpu)
+                    vcpu.runq_pcpu = None
+                    return True
         return False
 
     def queued(self):
@@ -207,7 +205,10 @@ class CreditScheduler(Scheduler):
         ]
 
     def queue_depth(self):
-        return sum(self._depth(pcpu) for pcpu in self._runqs)
+        return sum(
+            len(queues[BOOST]) + len(queues[UNDER]) + len(queues[OVER])
+            for queues in self._runqs.values()
+        )
 
     def best_waiting_priority(self, pcpu):
         """Best priority queued on ``pcpu``'s local runqueue; the tick

@@ -113,6 +113,14 @@ class TestEnqueuePick:
         scheduler.enqueue(vcpu)
         assert vcpu.runq_pcpu is pcpus[1]
 
+    def test_placement_skips_last_pcpu_outside_affinity(self):
+        scheduler, pcpus = _scheduler()
+        vcpu = _FakeVcpu("v")
+        vcpu.last_pcpu = pcpus[0]
+        vcpu.affinity = frozenset({1})
+        scheduler.enqueue(vcpu)
+        assert vcpu.runq_pcpu is pcpus[1]
+
     def test_placement_least_loaded_without_history(self):
         scheduler, pcpus = _scheduler()
         first = _FakeVcpu("a")

@@ -173,6 +173,36 @@ class TestMicroPoolManagement:
         assert hv.accelerate(vcpu, wake=True)
         assert vcpu.pool is hv.micro_pool
 
+    def test_failed_accelerate_requeues_at_tail(self):
+        # Two normal pCPUs, one micro core and five spinning vCPUs: three
+        # wait in the normal runqueues. Filling the one micro slot makes
+        # the next acceleration fail, and the failure has a side effect
+        # the payloads depend on.
+        sim, hv = make_hv(num_pcpus=3)
+        domain = make_domain(hv, vcpus=5)
+        for vcpu in domain.vcpus:
+            spawn_task(vcpu, spin_program())
+        hv.start()
+        hv.set_micro_cores(1)
+        sim.run(until=ms(2))
+        runqs = hv.normal_pool.scheduler._runqs
+        queue = next(q for qs in runqs.values() for q in qs.values() if len(q) >= 2)
+        victim, behind = queue[0], queue[1]
+        filler = next(
+            v for qs in runqs.values() for q in qs.values() for v in q
+            if q is not queue
+        )
+        assert hv.accelerate(filler)  # takes the only micro slot
+        victim.yield_flag = True
+        assert not hv.accelerate(victim)
+        assert victim.pool is hv.normal_pool
+        assert victim.state == vc.RUNNABLE
+        assert not victim.yield_flag
+        # Requeued at the tail of its class; it no longer leads its
+        # old queue.
+        assert runqs[victim.runq_pcpu][victim.priority][-1] is victim
+        assert queue[0] is behind
+
     def test_micro_sliced_vcpu_returns_to_normal_pool(self):
         # One normal pCPU shared by two vCPUs, plus one micro core: the
         # queued vCPU is accelerated and must come home after its one

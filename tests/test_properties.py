@@ -1,14 +1,19 @@
 """Property-based tests (hypothesis) for core data structures and
 invariants."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SchedulerError
 from repro.guest.spinlock import PAGE_ALLOC, PARKED, SPINNING, WAITING, SpinLock
-from repro.guest.symbols import SymbolTable, build_table
+from repro.guest.symbols import KERNEL_TEXT_BASE, USER_IP, Symbol, SymbolTable, build_table
 from repro.guest.waitqueue import WaitQueue
 from repro.metrics.counters import CounterSet
 from repro.metrics.latency import LatencyStat
+from repro.sched.balance import BalanceScheduler
+from repro.sched.base import _PRIORITIES
+from repro.sched.credit import CreditScheduler
 from repro.sim.engine import Interrupt, Simulator
 from repro.sim.rng import RngHub
 
@@ -367,6 +372,340 @@ class TestSymbolTableProperties:
             assert parsed.resolve_name(addr) == name
             assert table.resolve_name(addr + 0x3FF) == name
             assert table.resolve_name(addr - 1) in (None, *names)
+
+
+def _plain_lookup(table, address):
+    """The symbol containing ``address`` by a linear walk of the table."""
+    if address is None or address < KERNEL_TEXT_BASE:
+        return None
+    for symbol in table:
+        if symbol.address <= address < symbol.end:
+            return symbol
+    return None
+
+
+#: Slot width for the memoised-lookup test: slot ``i`` starts at
+#: ``base + i * _SLOT``.
+_SLOT = 0x1000
+
+
+def _slot_addresses(start, size):
+    """Probe addresses around a slot: start, middle, last byte, end (a
+    gap, or the next slot's start when ``size`` fills the slot)."""
+    return [start, start + size // 2, start + size - 1, start + size]
+
+
+class TestMemoisedSymbolLookup:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_lookup(self, data):
+        """``SymbolTable.lookup`` memoises address -> symbol; it must
+        answer exactly like a plain walk, including for addresses first
+        resolved before the symbol covering them was added."""
+        # The text either starts with a symbol or with a hole below it.
+        base = KERNEL_TEXT_BASE + data.draw(st.sampled_from([0, _SLOT]))
+        sizes = data.draw(st.lists(st.integers(1, _SLOT), min_size=1, max_size=8))
+        order = data.draw(st.permutations(range(len(sizes))))
+        probes = [None, USER_IP, KERNEL_TEXT_BASE - 1, KERNEL_TEXT_BASE, base - 1]
+        for index, size in enumerate(sizes):
+            probes += _slot_addresses(base + index * _SLOT, size)
+        table = SymbolTable()
+        pending = list(order)
+        script = data.draw(
+            st.lists(st.one_of(st.just("add"), st.sampled_from(probes)), max_size=60)
+        )
+        for step in script + ["add"] * len(pending) + probes:
+            if step == "add":
+                if pending:
+                    index = pending.pop(0)
+                    start = base + index * _SLOT
+                    table.add(Symbol("s%d" % index, start, size=sizes[index]))
+                continue
+            expected = _plain_lookup(table, step)
+            assert table.lookup(step) is expected
+            assert table.resolve_name(step) == (expected.name if expected else None)
+
+
+class _Info:
+    def __init__(self, index):
+        self.index = index
+
+
+class _SchedPCpu:
+    def __init__(self, index):
+        self.info = _Info(index)
+        self.current = None
+        self.preempt_requested = False
+
+    def tickle(self):
+        pass
+
+    def request_preempt(self):
+        self.preempt_requested = True
+
+
+class _SchedVcpu:
+    def __init__(self, name, domain, affinity):
+        self.name = name
+        self.domain = domain
+        self.credits = 1000
+        self.priority = None
+        self.affinity = affinity
+        self.yield_flag = False
+        self.last_pcpu = None
+        self.runq_pcpu = None
+
+
+class _SchedDomain:
+    def __init__(self, name):
+        self.name = name
+        self.weight = 256
+        self.vcpus = []
+
+
+class _SchedPool:
+    name = "normal"
+
+    def __init__(self, pcpus):
+        self.pcpus = pcpus
+
+
+def _plain_depth(scheduler, pcpu):
+    return sum(len(queue) for queue in scheduler._runqs[pcpu].values())
+
+
+def _plain_eligible(vcpu, pcpu):
+    return vcpu.affinity is None or pcpu.info.index in vcpu.affinity
+
+
+def _plain_queued_sibling(scheduler, vcpu, pcpu):
+    return any(
+        other is not vcpu and other.domain is vcpu.domain
+        for queue in scheduler._runqs[pcpu].values()
+        for other in queue
+    )
+
+
+def _plain_credit_target(scheduler, vcpu):
+    """credit1 placement with nothing optimised: the last-ran pCPU when
+    it is in the pool and eligible, else the first of the shallowest
+    eligible runqueues, re-summing every queue of every pCPU."""
+    last = vcpu.last_pcpu
+    if last in scheduler._runqs and _plain_eligible(vcpu, last):
+        return last
+    eligible = [p for p in scheduler._runqs if _plain_eligible(vcpu, p)]
+    if not eligible:
+        raise SchedulerError("no eligible pCPU")
+    return min(eligible, key=lambda p: _plain_depth(scheduler, p))
+
+
+def _plain_balance_target(scheduler, vcpu):
+    """Balance placement: the last-ran pCPU unless a sibling is queued
+    there, else the shallowest pCPU with no sibling running or queued,
+    else credit1 placement."""
+    last = vcpu.last_pcpu
+    if (
+        last in scheduler._runqs
+        and _plain_eligible(vcpu, last)
+        and not _plain_queued_sibling(scheduler, vcpu, last)
+    ):
+        return last
+    free = [
+        p
+        for p in scheduler._runqs
+        if _plain_eligible(vcpu, p)
+        and not (
+            p.current is not None
+            and p.current is not vcpu
+            and p.current.domain is vcpu.domain
+        )
+        and not _plain_queued_sibling(scheduler, vcpu, p)
+    ]
+    if free:
+        return min(free, key=lambda p: _plain_depth(scheduler, p))
+    return _plain_credit_target(scheduler, vcpu)
+
+
+class _PlainQueues:
+    """Reference ``_place`` and ``remove``: placement through the
+    subclass's plain ``target`` function, removal by searching every
+    runqueue."""
+
+    def _place(self, vcpu, priority):
+        target = self.target(self, vcpu)
+        self._runqs[target][priority].append(vcpu)
+        vcpu.runq_pcpu = target
+        return target
+
+    def remove(self, vcpu):
+        for queues in self._runqs.values():
+            for priority in _PRIORITIES:
+                if vcpu in queues[priority]:
+                    queues[priority].remove(vcpu)
+                    vcpu.runq_pcpu = None
+                    return True
+        return False
+
+
+class _PlainCredit(_PlainQueues, CreditScheduler):
+    target = staticmethod(_plain_credit_target)
+
+
+class _PlainBalance(_PlainQueues, BalanceScheduler):
+    target = staticmethod(_plain_balance_target)
+
+
+class _SchedWorld:
+    """One scheduler over fake pCPUs and vCPUs, driven by index so two
+    worlds can replay the same script."""
+
+    def __init__(self, cls, num_pcpus, domain_sizes, affinities):
+        self.scheduler = cls(Simulator(), slice_jitter=0)
+        self.pcpus = [_SchedPCpu(i) for i in range(num_pcpus)]
+        # Never registered: a last-ran pCPU from another pool.
+        self.outside = _SchedPCpu(num_pcpus)
+        self.scheduler.pool = _SchedPool(self.pcpus)
+        for pcpu in self.pcpus:
+            self.scheduler.register_pcpu(pcpu)
+        self.domains = []
+        self.vcpus = []
+        masks = iter(affinities)
+        for d, size in enumerate(domain_sizes):
+            domain = _SchedDomain("d%d" % d)
+            for v in range(size):
+                vcpu = _SchedVcpu("d%d.v%d" % (d, v), domain, next(masks))
+                domain.vcpus.append(vcpu)
+                self.vcpus.append(vcpu)
+            self.domains.append(domain)
+
+    def _pcpu(self, index):
+        return self.outside if index >= len(self.pcpus) else self.pcpus[index]
+
+    def _free(self, vcpu):
+        return vcpu not in self.scheduler.queued() and all(
+            p.current is not vcpu for p in self.pcpus
+        )
+
+    def step(self, op):
+        """Apply one scripted operation; returns its outcome by name."""
+        scheduler = self.scheduler
+        kind, args = op[0], op[1:]
+        try:
+            if kind in ("enqueue", "requeue", "wake"):
+                vcpu = self.vcpus[args[0]]
+                if not self._free(vcpu):
+                    return "skip"
+                if kind == "enqueue":
+                    scheduler.enqueue(vcpu, boost=args[1], yielded=args[2])
+                elif kind == "requeue":
+                    scheduler.requeue(vcpu, yielded=args[1])
+                else:
+                    scheduler.wake(vcpu)
+                return vcpu.runq_pcpu.info.index
+            if kind == "pick":
+                pcpu = self.pcpus[args[0]]
+                if pcpu.current is not None:
+                    return "skip"
+                vcpu = scheduler.pick(pcpu)
+                if vcpu is None:
+                    scheduler.add_idle(pcpu)
+                    return None
+                scheduler.remove_idle(pcpu)
+                pcpu.current = vcpu
+                pcpu.preempt_requested = False
+                vcpu.last_pcpu = pcpu
+                return vcpu.name
+            if kind == "stop":
+                pcpu = self.pcpus[args[0]]
+                vcpu, pcpu.current = pcpu.current, None
+                if vcpu is not None and args[1] != "block":
+                    scheduler.requeue(vcpu, yielded=args[1] == "yield")
+                return vcpu.name if vcpu is not None else None
+            if kind == "remove":
+                vcpu = self.vcpus[args[0]]
+                if args[1] != "home" and vcpu.runq_pcpu is not None:
+                    # No home runqueue, or one outside the pool: remove
+                    # must search them all.
+                    vcpu.runq_pcpu = self.outside if args[1] == "outside" else None
+                return scheduler.remove(vcpu)
+            if kind == "account":
+                scheduler.account(self.domains, len(self.pcpus))
+                return None
+            if kind == "charge":
+                scheduler.charge(self.vcpus[args[0]], args[1])
+                return None
+            if kind == "last":
+                self.vcpus[args[0]].last_pcpu = self._pcpu(args[1])
+                return None
+            raise AssertionError(kind)
+        except SchedulerError:
+            return "SchedulerError"
+
+    def snapshot(self):
+        scheduler = self.scheduler
+        return (
+            [
+                [[v.name for v in scheduler._runqs[p][prio]] for prio in _PRIORITIES]
+                for p in self.pcpus
+            ],
+            [
+                (_index(v.runq_pcpu), v.priority, v.yield_flag, v.credits)
+                for v in self.vcpus
+            ],
+            [(p.current and p.current.name, p.preempt_requested) for p in self.pcpus],
+            [_index(p) for p in scheduler._idle],
+            scheduler.queue_depth(),
+        )
+
+
+def _index(pcpu):
+    return None if pcpu is None else pcpu.info.index
+
+
+def _sched_scripts(draw, num_pcpus, num_vcpus):
+    vcpu = st.integers(0, num_vcpus - 1)
+    pcpu = st.integers(0, num_pcpus - 1)
+    op = st.one_of(
+        st.tuples(st.just("enqueue"), vcpu, st.booleans(), st.booleans()),
+        st.tuples(st.just("requeue"), vcpu, st.booleans()),
+        st.tuples(st.just("wake"), vcpu),
+        st.tuples(st.just("pick"), pcpu),
+        st.tuples(st.just("stop"), pcpu, st.sampled_from(["requeue", "yield", "block"])),
+        st.tuples(st.just("remove"), vcpu, st.sampled_from(["home", "none", "outside"])),
+        st.tuples(st.just("account")),
+        st.tuples(st.just("charge"), vcpu, st.integers(-2000, 4000)),
+        st.tuples(st.just("last"), vcpu, st.integers(0, num_pcpus)),
+    )
+    return draw(st.lists(op, min_size=1, max_size=80))
+
+
+class TestSchedulerPlacementProperties:
+    @pytest.mark.parametrize(
+        "fast, plain",
+        [(CreditScheduler, _PlainCredit), (BalanceScheduler, _PlainBalance)],
+        ids=["credit", "balance"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_plain_placement(self, fast, plain, data):
+        """Inline depth, early exit on an empty runqueue, one affinity
+        read and the home-queue ``remove`` against plain references:
+        after every step the outcome, every runqueue and every vCPU's
+        home, priority, yield flag and credits agree."""
+        num_pcpus = data.draw(st.integers(1, 8), label="pcpus")
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="domains")
+        mask = st.one_of(
+            st.none(), st.frozensets(st.integers(0, num_pcpus), max_size=num_pcpus + 1)
+        )
+        affinities = data.draw(st.lists(mask, min_size=sum(sizes), max_size=sum(sizes)))
+        script = _sched_scripts(data.draw, num_pcpus, sum(sizes))
+        worlds = [
+            _SchedWorld(cls, num_pcpus, sizes, affinities) for cls in (fast, plain)
+        ]
+        for op in script:
+            outcomes = [world.step(op) for world in worlds]
+            assert outcomes[0] == outcomes[1], op
+            assert worlds[0].snapshot() == worlds[1].snapshot(), op
 
 
 class TestWaitQueueProperties:
