@@ -134,3 +134,25 @@ class TestMicrosliceThroughput:
 
         assert benchmark.pedantic(run_job, rounds=3, iterations=1) > 0
         _record("microslice_job_events_per_sec", counts[-1] / _mean(benchmark))
+
+
+class TestYieldRoundTrip:
+    def test_baseline_job_rate(self, benchmark):
+        """One fig7 ``baseline`` job at scale 0.1: nearly every
+        deschedule is an IPI-wait yield (a TLB-shootdown initiator
+        spinning on a preempted sibling's ack), and the same pCPU picks
+        the same vCPU straight back after the VMEXIT. The work is the
+        executor loop, ``on_deschedule`` and the yield-to-self pick."""
+        job = next(
+            job for job in fig7.plan(scale_override=0.1) if job.tag == "dedup:baseline"
+        )
+        counts = []
+
+        def run_job():
+            system = build_system(job)
+            system.run(job.duration_ns, warmup_ns=job.warmup_ns)
+            counts.append(system.sim.executed_events)
+            return system.hv.stats.counters.get("yield_ipi")
+
+        assert benchmark.pedantic(run_job, rounds=3, iterations=1) > 0
+        _record("yield_roundtrip_job_events_per_sec", counts[-1] / _mean(benchmark))

@@ -135,13 +135,13 @@ class Wake(Action):
     ``sync=True`` makes the initiator spin for the acknowledgment (the
     ``smp_call_function_single`` wait behaviour), possibly yielding."""
 
-    __slots__ = ("waitq", "sync", "ipi_op", "wait_started")
+    __slots__ = ("waitq", "sync", "op", "wait_started")
 
     def __init__(self, waitq, sync=False):
         super().__init__()
         self.waitq = waitq
         self.sync = sync
-        self.ipi_op = None
+        self.op = None
         self.wait_started = None
 
     @property

@@ -14,14 +14,17 @@ Hot-path notes (this module dominates the engine's per-event cost; see
 * Timer waits yield bare ``int`` delays — the engine's handle-level
   timer wait — instead of allocating a Timeout per chunk. The two
   spellings are byte-identical by construction.
-* ``Compute`` and ``Release`` (the bulk of the action mix) run inline
-  in :meth:`PCpu._run`; every other action dispatches through a
-  class-keyed table (``_GEN_EXEC`` / ``_PLAIN_EXEC``). Lookup is by
-  exact class: an action class missing from the tables raises
+* Each pCPU runs one generator, :meth:`PCpu._loop`, for its whole
+  life, so a schedule creates no generator. ``Compute``, ``Release``
+  and the IPI-ack spin of ``Shootdown``, ``Wake(sync=True)`` and
+  ``SmpCallSingle`` (the baseline's PLE yield storm) run inline in it;
+  the IPI senders' first entry goes through ``_IPI_START``, every other
+  action through ``_GEN_EXEC`` / ``_PLAIN_EXEC``. Lookup is by exact
+  class: an action class missing from the tables raises
   :class:`~repro.errors.SimulationError`.
-* The short fixed-cost charges (world switch, lock release, wake) are
-  inlined rather than delegated to a ``_charge`` sub-generator, saving
-  a generator frame per action.
+* The short fixed-cost charges (world switch, guest context switch,
+  lock release) are inlined rather than delegated to a ``_charge``
+  sub-generator, saving a generator frame per action.
 * The loops read ``sim._now`` directly; the ``now`` property shows up
   at these call rates.
 """
@@ -107,18 +110,210 @@ class PCpu:
         return self.proc
 
     def _loop(self):
+        """The pCPU's whole life, as one generator: pick a vCPU, switch
+        to it, interpret its actions until a stop, deschedule it, and
+        pick again."""
+        sim = self.sim
+        hv = self.hv
+        gen_exec = _GEN_EXEC
+        plain_exec = _PLAIN_EXEC
+        ipi_start = _IPI_START
+        cls_compute = act.Compute
+        cls_release = act.Release
+        emit_release = self._trace_release
         while True:
             if self.offline_requested:
                 yield from self._offline_wait()
                 continue
             if self.pending_pool is not None and self.pending_pool is not self.pool:
-                self.hv.complete_pool_change(self)
+                hv.complete_pool_change(self)
             self.pending_pool = None
-            vcpu = self.pool.scheduler.pick(self)
+            scheduler = self.pool.scheduler
+            vcpu = scheduler.pick(self)
             if vcpu is None:
                 yield from self._idle()
                 continue
-            yield from self._run(vcpu)
+            self.preempt_requested = False
+            # Re-entering the vCPU we just ran (e.g. after a PLE yield
+            # with no competitor) is a VMEXIT/VMENTER round trip, not a
+            # full world switch.
+            last = self._last_vcpu
+            end = sim._now + (hv.costs.vmexit if vcpu is last else hv.costs.ctx_switch)
+            while sim._now < end:
+                try:
+                    yield end - sim._now
+                except Interrupt:
+                    pass
+            self._last_vcpu = vcpu
+            self.current = vcpu
+            vcpu.pcpu = self
+            vcpu.last_pcpu = self
+            hv.mark_running(vcpu)
+            cache = vcpu.cache
+            cache.on_schedule_in(sim._now, polluted=last is not None and last is not vcpu)
+            hv.stats.count_schedule(vcpu)
+            started = sim._now
+            self.slice_end = slice_end = started + scheduler.slice_for(vcpu)
+            guest_ctx_cost = hv.costs.guest_ctx_switch
+            kernel_work = vcpu.kernel_work
+            guest_pick = vcpu.guest_cpu.pick
+            cache_speed = cache.speed
+            stop = None
+            while stop is None:
+                if self.preempt_requested or self.pending_pool is not None:
+                    stop = (STOP_PREEMPT, None)
+                    break
+                if sim._now >= slice_end:
+                    stop = (STOP_SLICE, None)
+                    break
+                # IRQ work preempts tasks.
+                if kernel_work:
+                    ctx = kernel_work[0]
+                    task = None
+                else:
+                    task, switched = guest_pick()
+                    if task is None:
+                        stop = (STOP_IDLE, None)
+                        break
+                    ctx = task.context
+                    if switched:
+                        vcpu.current_symbol = "schedule"
+                        end = sim._now + guest_ctx_cost
+                        while sim._now < end:
+                            try:
+                                yield end - sim._now
+                            except Interrupt:
+                                pass
+                # Inlined ctx.peek() fast path: the in-flight action.
+                action = ctx.current
+                if action is None or action.done:
+                    action = ctx.peek()
+                if action is None:
+                    # Exhausted context: IRQ work completes; a task exits.
+                    if task is None:
+                        vcpu.finish_kernel_work(ctx)
+                    else:
+                        hv.on_task_exit(vcpu, task)
+                    continue
+                acls = action.__class__
+                if acls is cls_compute:
+                    # Compute runs inline: it dominates the action mix, and
+                    # at this call rate a generator frame per dispatch is
+                    # measurable.
+                    remaining = action.remaining
+                    while True:
+                        if self.preempt_requested or self.pending_pool is not None:
+                            stop = (STOP_PREEMPT, None)
+                            break
+                        now = sim._now
+                        if now >= slice_end:
+                            stop = (STOP_SLICE, None)
+                            break
+                        if task is not None and kernel_work:
+                            break
+                        if action.user:
+                            speed = cache_speed(now)
+                            want = _ceil(remaining / speed)
+                        else:
+                            speed = 1.0
+                            want = remaining
+                        dt = slice_end - now
+                        if want < dt:
+                            dt = want
+                        vcpu.current_symbol = action.symbol
+                        interrupted = False
+                        try:
+                            yield dt
+                        except Interrupt:
+                            interrupted = True
+                        elapsed = sim._now - now
+                        if not interrupted and dt == want:
+                            progressed = remaining
+                        else:
+                            progressed = min(remaining, int(elapsed * speed))
+                            if progressed == 0 and elapsed > 0:
+                                progressed = min(remaining, 1)
+                        if task is not None:
+                            task.ran_ns += elapsed
+                            task.total_ns += elapsed
+                        if progressed >= remaining:
+                            action.remaining = 0
+                            action.done = True
+                            break
+                        action.remaining = remaining = remaining - progressed
+                elif acls is cls_release:
+                    # Release runs inline for the same reason.
+                    lock = action.lock
+                    vcpu.current_symbol = action.symbol
+                    end = sim._now + 300
+                    while sim._now < end:
+                        try:
+                            yield end - sim._now
+                        except Interrupt:
+                            pass
+                    if emit_release is not None:
+                        emit_release(vcpu=vcpu.name, lock=lock.name)
+                    grantee = lock.release(vcpu)
+                    if grantee is not None and lock.user_level:
+                        self._futex_wake(vcpu, lock, grantee)
+                    action.done = True
+                elif acls in ipi_start:
+                    op = action.op
+                    if op is None:
+                        op = yield from ipi_start[acls](self, vcpu, action)
+                        if op is None:
+                            continue
+                    # The smp_call_function_* wait, inline: spin on the
+                    # acks, yielding the pCPU (an ``ipi`` yield) at every
+                    # exhausted PLE window.
+                    ple_budget = hv.ple.spin_budget()
+                    while op.pending:
+                        if self.preempt_requested or self.pending_pool is not None:
+                            stop = (STOP_PREEMPT, None)
+                            break
+                        now = sim._now
+                        if now >= slice_end:
+                            stop = (STOP_SLICE, None)
+                            break
+                        if task is not None and kernel_work:
+                            break
+                        budget = slice_end - now
+                        if ple_budget is not None and ple_budget < budget:
+                            budget = ple_budget
+                        vcpu.current_symbol = action.symbol
+                        interrupted = False
+                        try:
+                            yield budget
+                        except Interrupt:
+                            interrupted = True
+                        if task is not None:
+                            elapsed = sim._now - now
+                            task.ran_ns += elapsed
+                            task.total_ns += elapsed
+                        if interrupted or not op.pending:
+                            continue
+                        stop = (STOP_IPI_WAIT, op) if budget == ple_budget else (STOP_SLICE, None)
+                        break
+                    else:
+                        action.done = True
+                else:
+                    handler = gen_exec.get(acls)
+                    if handler is not None:
+                        stop = yield from handler(self, vcpu, task, action)
+                    else:
+                        handler = plain_exec.get(acls)
+                        if handler is None:
+                            raise SimulationError(
+                                "unknown action %s: %r" % (acls.__name__, action)
+                            )
+                        stop = handler(self, vcpu, task, action)
+            runtime = sim._now - started
+            self.busy_ns += runtime
+            cache.on_schedule_out(sim._now)
+            vcpu.pcpu = None
+            self.current = None
+            self.preempt_requested = False
+            hv.on_deschedule(vcpu, stop, runtime)
 
     def _offline_wait(self):
         """Leave the pool and park until brought back online."""
@@ -153,162 +348,9 @@ class PCpu:
             except Interrupt:
                 continue
 
-    def _run(self, vcpu):
-        sim = self.sim
-        hv = self.hv
-        self.preempt_requested = False
-        if vcpu is self._last_vcpu:
-            # Re-entering the vCPU we just ran (e.g. after a PLE yield
-            # with no competitor): a VMEXIT/VMENTER round trip, not a
-            # full world switch.
-            cost = hv.costs.vmexit
-        else:
-            cost = hv.costs.ctx_switch
-        end = sim._now + cost
-        while sim._now < end:
-            try:
-                yield end - sim._now
-            except Interrupt:
-                pass
-        polluted = self._last_vcpu is not None and self._last_vcpu is not vcpu
-        self._last_vcpu = vcpu
-        self.current = vcpu
-        vcpu.pcpu = self
-        vcpu.last_pcpu = self
-        hv.mark_running(vcpu)
-        vcpu.cache.on_schedule_in(sim._now, polluted=polluted)
-        hv.stats.count_schedule(vcpu)
-        started = sim._now
-        self.slice_end = slice_end = started + self.pool.scheduler.slice_for(vcpu)
-        guest_ctx_cost = hv.costs.guest_ctx_switch
-        kernel_work = vcpu.kernel_work
-        guest_pick = vcpu.guest_cpu.pick
-        gen_exec = _GEN_EXEC
-        plain_exec = _PLAIN_EXEC
-        cls_compute = act.Compute
-        cls_release = act.Release
-        emit_release = self._trace_release
-        cache_speed = vcpu.cache.speed
-        stop = None
-        while stop is None:
-            if self.preempt_requested or self.pending_pool is not None:
-                stop = (STOP_PREEMPT, None)
-                break
-            if sim._now >= slice_end:
-                stop = (STOP_SLICE, None)
-                break
-            # Inlined vcpu.next_context(): IRQ work preempts tasks.
-            if kernel_work:
-                ctx = kernel_work[0]
-                task = None
-            else:
-                task, switched = guest_pick()
-                if task is None:
-                    stop = (STOP_IDLE, None)
-                    break
-                ctx = task.context
-                if switched:
-                    vcpu.current_symbol = "schedule"
-                    end = sim._now + guest_ctx_cost
-                    while sim._now < end:
-                        try:
-                            yield end - sim._now
-                        except Interrupt:
-                            pass
-            # Inlined ctx.peek() fast path: the in-flight action.
-            action = ctx.current
-            if action is None or action.done:
-                action = ctx.peek()
-            if action is None:
-                # Exhausted context: IRQ work completes; a task exits.
-                if task is None:
-                    vcpu.finish_kernel_work(ctx)
-                else:
-                    hv.on_task_exit(vcpu, task)
-                continue
-            acls = action.__class__
-            if acls is cls_compute:
-                # Compute runs inline: it dominates the action mix, and
-                # at this call rate a generator frame per dispatch is
-                # measurable.
-                remaining = action.remaining
-                while True:
-                    if self.preempt_requested or self.pending_pool is not None:
-                        stop = (STOP_PREEMPT, None)
-                        break
-                    now = sim._now
-                    if now >= slice_end:
-                        stop = (STOP_SLICE, None)
-                        break
-                    if task is not None and kernel_work:
-                        break
-                    if action.user:
-                        speed = cache_speed(now)
-                        want = _ceil(remaining / speed)
-                    else:
-                        speed = 1.0
-                        want = remaining
-                    dt = slice_end - now
-                    if want < dt:
-                        dt = want
-                    vcpu.current_symbol = action.symbol
-                    interrupted = False
-                    try:
-                        yield dt
-                    except Interrupt:
-                        interrupted = True
-                    elapsed = sim._now - now
-                    if not interrupted and dt == want:
-                        progressed = remaining
-                    else:
-                        progressed = min(remaining, int(elapsed * speed))
-                        if progressed == 0 and elapsed > 0:
-                            progressed = min(remaining, 1)
-                    if task is not None:
-                        task.ran_ns += elapsed
-                        task.total_ns += elapsed
-                    if progressed >= remaining:
-                        action.remaining = 0
-                        action.done = True
-                        break
-                    action.remaining = remaining = remaining - progressed
-            elif acls is cls_release:
-                # Release runs inline for the same reason.
-                lock = action.lock
-                vcpu.current_symbol = action.symbol
-                end = sim._now + 300
-                while sim._now < end:
-                    try:
-                        yield end - sim._now
-                    except Interrupt:
-                        pass
-                if emit_release is not None:
-                    emit_release(vcpu=vcpu.name, lock=lock.name)
-                grantee = lock.release(vcpu)
-                if grantee is not None and lock.user_level:
-                    self._futex_wake(vcpu, lock, grantee)
-                action.done = True
-            else:
-                handler = gen_exec.get(acls)
-                if handler is not None:
-                    stop = yield from handler(self, vcpu, task, action)
-                else:
-                    handler = plain_exec.get(acls)
-                    if handler is None:
-                        raise SimulationError(
-                            "unknown action %s: %r" % (acls.__name__, action)
-                        )
-                    stop = handler(self, vcpu, task, action)
-        runtime = sim._now - started
-        self.busy_ns += runtime
-        vcpu.cache.on_schedule_out(sim._now)
-        vcpu.pcpu = None
-        self.current = None
-        self.preempt_requested = False
-        hv.on_deschedule(vcpu, stop, runtime)
-
     # ------------------------------------------------------------------
-    # action handlers (Compute and Release are inlined in _run)
+    # action handlers (Compute, Release and the IPI wait are inlined in
+    # _loop)
     # ------------------------------------------------------------------
     def _exec_acquire(self, vcpu, task, action):
         sim = self.sim
@@ -400,91 +442,48 @@ class PCpu:
             else:
                 vcpu.domain.kernel.send_resched_ipi(vcpu, woken, self.sim._now)
 
-    def _exec_shootdown(self, vcpu, task, action):
+    # IPI senders, first entry only: charge, send, and return the op the
+    # run loop spins on (None when the action finished without a wait).
+    def _start_shootdown(self, vcpu, action):
         sim = self.sim
         kernel = vcpu.domain.kernel
-        if action.op is None:
-            vcpu.current_symbol = "native_flush_tlb_others"
-            yield from self._charge(kernel.costs.tlb_flush_local)
-            action.op = kernel.tlb.start(vcpu, sim._now)
-            action.wait_started = sim._now
-        op = action.op
-        stop = yield from self._await_ipi(vcpu, task, action, op)
-        return stop
+        vcpu.current_symbol = "native_flush_tlb_others"
+        yield from self._charge(kernel.costs.tlb_flush_local)
+        action.op = op = kernel.tlb.start(vcpu, sim._now)
+        action.wait_started = sim._now
+        return op
 
-    def _exec_wake(self, vcpu, task, action):
+    def _start_wake(self, vcpu, action):
         sim = self.sim
-        kernel = vcpu.domain.kernel
-        if action.ipi_op is None:
-            vcpu.current_symbol = action.symbol
-            yield from self._charge(700)
-            woken = action.waitq.pop_sleeper()
-            if woken is None:
-                action.done = True
-                return None
+        vcpu.current_symbol = action.symbol
+        yield from self._charge(700)
+        woken = action.waitq.pop_sleeper()
+        if woken is not None:
             woken.sleeping_on = None
             if woken.vcpu is vcpu:
                 vcpu.guest_cpu.enqueue(woken)
-                action.done = True
-                return None
-            action.ipi_op = kernel.send_resched_ipi(vcpu, woken, sim._now)
-            action.wait_started = sim._now
-            if not action.sync:
-                action.done = True
-                return None
-        return (yield from self._await_ipi(vcpu, task, action, action.ipi_op))
-
-    def _exec_smp_call(self, vcpu, task, action):
-        sim = self.sim
-        kernel = vcpu.domain.kernel
-        if action.op is None:
-            vcpu.current_symbol = action.symbol
-            yield from self._charge(500)
-            siblings = vcpu.domain.siblings_of(vcpu)
-            if not siblings:
-                action.done = True
-                return None
-            if action.target_index is not None:
-                target = vcpu.domain.vcpus[action.target_index]
             else:
-                target = siblings[vcpu.index % len(siblings)]
-            action.op = kernel.send_call_function(vcpu, target, sim._now)
-            action.wait_started = sim._now
-        return (yield from self._await_ipi(vcpu, task, action, action.op))
-
-    def _await_ipi(self, vcpu, task, action, op):
-        """Spin until ``op`` completes, yielding the pCPU (an ``ipi``
-        yield) every exhausted spin window — the
-        ``smp_call_function_*`` wait behaviour."""
-        sim = self.sim
-        ple_budget = self.hv.ple.spin_budget()
-        while not op.complete:
-            if self.preempt_requested or self.pending_pool is not None:
-                return (STOP_PREEMPT, None)
-            if sim._now >= self.slice_end:
-                return (STOP_SLICE, None)
-            if task is not None and vcpu.kernel_work:
-                return None
-            slice_left = self.slice_end - sim._now
-            budget = slice_left if ple_budget is None else min(ple_budget, slice_left)
-            vcpu.current_symbol = action.symbol
-            start = sim._now
-            interrupted = False
-            try:
-                yield budget
-            except Interrupt:
-                interrupted = True
-            if task is not None:
-                elapsed = sim._now - start
-                task.ran_ns += elapsed
-                task.total_ns += elapsed
-            if interrupted or op.complete:
-                continue
-            if ple_budget is not None and budget == ple_budget:
-                return (STOP_IPI_WAIT, op)
-            return (STOP_SLICE, None)
+                action.op = vcpu.domain.kernel.send_resched_ipi(vcpu, woken, sim._now)
+                action.wait_started = sim._now
+                if action.sync:
+                    return action.op
         action.done = True
         return None
+
+    def _start_smp_call(self, vcpu, action):
+        sim = self.sim
+        domain = vcpu.domain
+        vcpu.current_symbol = action.symbol
+        yield from self._charge(500)
+        siblings = domain.siblings_of(vcpu)
+        if not siblings:
+            action.done = True
+            return None
+        index = action.target_index
+        target = siblings[vcpu.index % len(siblings)] if index is None else domain.vcpus[index]
+        action.op = op = domain.kernel.send_call_function(vcpu, target, sim._now)
+        action.wait_started = sim._now
+        return op
 
     def _exec_sleep(self, vcpu, task, action):
         if task is None:
@@ -510,13 +509,16 @@ class PCpu:
 
 
 #: Class-keyed dispatch tables for the run loop: generator handlers are
-#: driven with ``yield from``, plain handlers called directly. Exact
-#: class match only; ``Compute`` and ``Release`` never reach them.
+#: driven with ``yield from``, plain handlers called directly, and IPI
+#: senders start the op the loop's inline spin waits on. Exact class
+#: match only; ``Compute`` and ``Release`` never reach them.
+_IPI_START = {
+    act.Shootdown: PCpu._start_shootdown,
+    act.Wake: PCpu._start_wake,
+    act.SmpCallSingle: PCpu._start_smp_call,
+}
 _GEN_EXEC = {
     act.Acquire: PCpu._exec_acquire,
-    act.Shootdown: PCpu._exec_shootdown,
-    act.Wake: PCpu._exec_wake,
-    act.SmpCallSingle: PCpu._exec_smp_call,
     act.Emit: PCpu._exec_emit,
 }
 _PLAIN_EXEC = {

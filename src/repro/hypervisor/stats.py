@@ -15,6 +15,9 @@ YIELD_OTHER = "other"
 
 YIELD_CAUSES = (YIELD_IPI, YIELD_SPINLOCK, YIELD_HALT, YIELD_OTHER)
 
+#: ``cause -> "yield_<cause>"``, built once: every PLE round trip counts one.
+_YIELD_KEYS = {cause: "yield_" + cause for cause in YIELD_CAUSES}
+
 
 class HvStats:
     """Global counters plus per-domain mirrors.
@@ -35,13 +38,14 @@ class HvStats:
 
     # ------------------------------------------------------------------
     def count_yield(self, vcpu, cause):
-        if cause not in YIELD_CAUSES:
-            cause = YIELD_OTHER
+        key = _YIELD_KEYS.get(cause)
+        if key is None:
+            cause, key = YIELD_OTHER, _YIELD_KEYS[YIELD_OTHER]
         self.counters.inc("yield")
-        self.counters.inc("yield_" + cause)
+        self.counters.inc(key)
         domain = vcpu.domain
         domain.counters.inc("yield")
-        domain.counters.inc("yield_" + cause)
+        domain.counters.inc(key)
         emit = self._trace_yield
         if emit is not None:
             emit(vcpu=vcpu.name, domain=domain.name, cause=cause)

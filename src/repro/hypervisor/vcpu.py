@@ -110,27 +110,10 @@ class VCpu:
         elif self.state == RUNNING:
             self.notify(("kernel_work",))
 
-    # ------------------------------------------------------------------
-    # execution-context selection (IRQ work preempts tasks)
-    # ------------------------------------------------------------------
-    def next_context(self):
-        """``(context, task, switched)`` to execute next; context is
-        ``None`` when the guest is fully idle."""
-        if self.kernel_work:
-            return self.kernel_work[0], None, False
-        task, switched = self.guest_cpu.pick()
-        if task is None:
-            return None, None, False
-        return task.context, task, switched
-
     def finish_kernel_work(self, ctx):
         """Pop an exhausted IRQ-work context."""
         if self.kernel_work and self.kernel_work[0] is ctx:
             self.kernel_work.popleft()
-
-    @property
-    def has_work(self):
-        return bool(self.kernel_work) or self.guest_cpu.has_runnable
 
     def __repr__(self):
         return "<VCpu %s %s>" % (self.name, self.state)

@@ -210,7 +210,18 @@ class Scheduler:
         because nothing else was eligible). A spinner therefore keeps
         burning its share in spin/yield cycles instead of silently
         donating it to the other VM.
+
+        A lone vCPU (the yield-to-self case: a spinner yielded and
+        nothing else is queued) is taken directly when eligible.
         """
+        if len(queue) == 1:
+            vcpu = queue[0]
+            if not eligible(vcpu):
+                return None
+            queue.clear()
+            vcpu.runq_pcpu = None
+            vcpu.yield_flag = False
+            return vcpu
         flagged = None
         skipped = []
         for position, vcpu in enumerate(queue):

@@ -126,11 +126,11 @@ class CreditScheduler(Scheduler):
         if queues is None:
             return None
         for priority in _PRIORITIES:
-            vcpu = self.take_eligible(
-                queues[priority], lambda v: self._eligible(v, runner)
-            )
-            if vcpu is not None:
-                return vcpu
+            queue = queues[priority]
+            if queue:
+                vcpu = self.take_eligible(queue, lambda v: self._eligible(v, runner))
+                if vcpu is not None:
+                    return vcpu
         return None
 
     def enqueue(self, vcpu, boost=False, yielded=False):

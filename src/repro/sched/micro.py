@@ -32,9 +32,6 @@ class MicroScheduler(Scheduler):
         self.remove_idle(pcpu)
         return self._slots.pop(pcpu, None)
 
-    def has_free_slot(self):
-        return any(v is None for v in self._slots.values())
-
     def free_slots(self):
         return sum(1 for v in self._slots.values() if v is None)
 

@@ -347,3 +347,140 @@ class TestShootdownExecution:
         assert stats.count >= 1
         assert stats.mean > us(500)
         assert hv.stats.counters.get("yield_ipi", 0) >= 1
+
+
+class TestIpiAckSpin:
+    """The initiator's spin on IPI acks (``Shootdown``, ``Wake(sync=True)``,
+    ``SmpCallSingle``): one PLE window at a time, yielding the pCPU
+    when a window runs out with acks still pending."""
+
+    @staticmethod
+    def _record_stops(hv):
+        stops = []
+        deschedule = hv.on_deschedule
+
+        def recording(vcpu, stop, runtime):
+            stops.append((vcpu.name, stop[0], runtime))
+            deschedule(vcpu, stop, runtime)
+
+        hv.on_deschedule = recording
+        return stops
+
+    @staticmethod
+    def _initiator(done):
+        def gen():
+            yield Compute(us(20))
+            yield Shootdown()
+            yield Emit(done.append)
+            while True:
+                yield Compute(us(100))
+
+        return gen
+
+    def test_shootdown_without_ple_spins_to_slice_end(self):
+        sim, hv = make_hv(num_pcpus=1, ple=PleConfig(enabled=False))
+        domain = make_domain(hv, vcpus=2)
+        stops = self._record_stops(hv)
+        done = []
+        spawn_task(domain.vcpus[0], self._initiator(done))
+        spawn_task(domain.vcpus[1], spin_program())
+        hv.start()
+        sim.run(until=ms(100))
+        # The preempted target cannot ack, so the initiator burns its
+        # whole slice spinning and is descheduled by the slice end.
+        assert stops[0][:2] == ("vm.v0", "slice")
+        assert stops[0][2] >= ms(25)
+        assert hv.stats.counters.get("yield_ipi") == 0
+        # The target acks once it runs, and the initiator finishes.
+        assert len(done) == 1
+        assert domain.kernel.tlb.sync_latency.count == 1
+
+    def test_sync_wake_to_preempted_target_yields_then_completes(self):
+        sim, hv = make_hv(num_pcpus=1)
+        domain = make_domain(hv, vcpus=2)
+        stops = self._record_stops(hv)
+        queue = WaitQueue()
+        marks = []
+
+        def sleeper():
+            yield Sleep(queue)
+            yield Emit(marks.append)
+            while True:
+                yield Compute(us(100))
+
+        def waker():
+            yield Compute(us(10))
+            yield Wake(queue, sync=True)
+            yield Emit(marks.append)
+            while True:
+                yield Compute(us(100))
+
+        # v0 keeps running a spinner after its sleeper sleeps, so it is
+        # preempted (runnable, not halted) when v1 sends the wake IPI.
+        spawn_task(domain.vcpus[0], lambda: sleeper(), name="sleeper")
+        spawn_task(domain.vcpus[0], spin_program(), name="spinner")
+        spawn_task(domain.vcpus[1], lambda: waker(), name="waker")
+        hv.start()
+        sim.run(until=ms(200))
+        assert ("vm.v1", "ipi_wait") in [stop[:2] for stop in stops]
+        assert hv.stats.counters.get("yield_ipi") >= 1
+        # Both the woken sleeper and the waker got past the wake.
+        assert len(marks) == 2
+        assert hv.stats.counters.get("vipi_resched") == 1
+
+    def test_ack_within_the_window_finishes_without_a_yield(self):
+        # Running targets ack after ipi_deliver + ipi_handle (3 us), well
+        # inside a 50 us window.
+        sim, hv = make_hv(num_pcpus=3, ple=PleConfig(window=us(50)))
+        domain = make_domain(hv, vcpus=3)
+        stops = self._record_stops(hv)
+        done = []
+        spawn_task(domain.vcpus[0], self._initiator(done))
+        for vcpu in domain.vcpus[1:]:
+            spawn_task(vcpu, spin_program())
+        hv.start()
+        sim.run(until=ms(5))
+        # The spin ends on the completion interrupt, not on a yield.
+        assert len(done) == 1
+        assert domain.kernel.tlb.sync_latency.mean < us(50)
+        assert hv.stats.counters.get("yield_ipi") == 0
+        assert "ipi_wait" not in [stop[1] for stop in stops]
+
+    def test_irq_work_breaks_the_spin(self):
+        """Two running vCPUs shoot down each other's TLB at once: each
+        spinner leaves its spin to run the other's flush handler, so
+        both finish inside one 50 us window without a yield."""
+        sim, hv = make_hv(num_pcpus=2, ple=PleConfig(window=us(50)))
+        domain = make_domain(hv, vcpus=2)
+        done = []
+        for vcpu in domain.vcpus:
+            spawn_task(vcpu, self._initiator(done))
+        hv.start()
+        sim.run(until=ms(5))
+        assert len(done) == 2
+        assert domain.kernel.tlb.sync_latency.mean < us(50)
+        assert hv.stats.counters.get("yield_ipi") == 0
+
+    def test_one_pcpu_three_vcpu_shootdown_counts(self):
+        """Back-to-back shootdowns against two preempted siblings: exact
+        counts, which do not depend on how the executor spells the
+        spin."""
+        sim, hv = make_hv(num_pcpus=1)
+        domain = make_domain(hv, vcpus=3)
+
+        def initiator():
+            while True:
+                yield Compute(us(20))
+                yield Shootdown()
+
+        spawn_task(domain.vcpus[0], lambda: initiator())
+        for vcpu in domain.vcpus[1:]:
+            spawn_task(vcpu, spin_program())
+        hv.start()
+        sim.run(until=ms(200))
+        counters = hv.stats.counters
+        assert (
+            counters.get("yield_ipi"),
+            counters.get("schedules"),
+            domain.kernel.tlb.sync_latency.count,
+        ) == (10505, 10511, 3)

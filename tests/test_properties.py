@@ -526,10 +526,54 @@ def _plain_balance_target(scheduler, vcpu):
     return _plain_credit_target(scheduler, vcpu)
 
 
+def _plain_take_eligible(queue, eligible):
+    """The one-shot yield-flag pass-over as one plain loop: take the
+    first eligible unflagged vCPU, clearing the flags of the flagged
+    ones passed over; else the first eligible flagged one, flag
+    cleared. No lone-vCPU shortcut."""
+    flagged = None
+    skipped = []
+    for position, vcpu in enumerate(queue):
+        if not eligible(vcpu):
+            continue
+        if vcpu.yield_flag:
+            skipped.append(vcpu)
+            if flagged is None:
+                flagged = vcpu
+            continue
+        del queue[position]
+        vcpu.runq_pcpu = None
+        for passed in skipped:
+            passed.yield_flag = False
+        return vcpu
+    if flagged is not None:
+        queue.remove(flagged)
+        flagged.runq_pcpu = None
+        flagged.yield_flag = False
+        return flagged
+    return None
+
+
 class _PlainQueues:
-    """Reference ``_place`` and ``remove``: placement through the
+    """Reference ``_place``, ``remove`` and picks: placement through the
     subclass's plain ``target`` function, removal by searching every
-    runqueue."""
+    runqueue, and a pick that runs the plain yield-flag loop on every
+    priority queue (empty ones included) with a closure per queue."""
+
+    def take_eligible(self, queue, eligible):
+        return _plain_take_eligible(queue, eligible)
+
+    def _pick_from(self, owner, runner):
+        queues = self._runqs.get(owner)
+        if queues is None:
+            return None
+        for priority in _PRIORITIES:
+            vcpu = self.take_eligible(
+                queues[priority], lambda v: _plain_eligible(v, runner)
+            )
+            if vcpu is not None:
+                return vcpu
+        return None
 
     def _place(self, vcpu, priority):
         target = self.target(self, vcpu)
@@ -689,9 +733,11 @@ class TestSchedulerPlacementProperties:
     @settings(max_examples=400, deadline=None)
     def test_matches_plain_placement(self, fast, plain, data):
         """Inline depth, early exit on an empty runqueue, one affinity
-        read and the home-queue ``remove`` against plain references:
-        after every step the outcome, every runqueue and every vCPU's
-        home, priority, yield flag and credits agree."""
+        read, the home-queue ``remove`` and the picks (empty priority
+        queues skipped, a lone queued vCPU taken directly, yield-flagged
+        or not) against plain references: after every step the outcome,
+        every runqueue and every vCPU's home, priority, yield flag and
+        credits agree."""
         num_pcpus = data.draw(st.integers(1, 8), label="pcpus")
         sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="domains")
         mask = st.one_of(
@@ -706,6 +752,47 @@ class TestSchedulerPlacementProperties:
             outcomes = [world.step(op) for world in worlds]
             assert outcomes[0] == outcomes[1], op
             assert worlds[0].snapshot() == worlds[1].snapshot(), op
+
+
+class _FlagVcpu:
+    def __init__(self, index, yield_flag, eligible):
+        self.index = index
+        self.yield_flag = yield_flag
+        self.eligible = eligible
+        self.runq_pcpu = "home"
+
+
+class TestTakeEligibleProperties:
+    @given(
+        st.lists(st.tuples(st.booleans(), st.booleans()), max_size=6),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=400, deadline=None)
+    @example([(True, True)], 1)
+    @example([(True, False)], 1)
+    @example([(False, True)], 1)
+    @example([(True, True), (True, True)], 2)
+    @example([(True, True), (False, True), (True, True)], 3)
+    def test_matches_plain_loop(self, flags, rounds):
+        """``Scheduler.take_eligible`` (shared by credit, balance,
+        credit2 and cosched) against the plain loop, over random queues
+        of yield-flagged and unflagged, eligible and ineligible vCPUs,
+        taking ``rounds`` picks from the same queue: every pick, the
+        queue left behind and every flag and home agree."""
+        scheduler = CreditScheduler(Simulator(), slice_jitter=0)
+        worlds = [
+            [_FlagVcpu(i, flag, ok) for i, (flag, ok) in enumerate(flags)]
+            for _ in range(2)
+        ]
+        queues = [list(world) for world in worlds]
+        for _ in range(rounds):
+            fast = scheduler.take_eligible(queues[0], lambda v: v.eligible)
+            plain = _plain_take_eligible(queues[1], lambda v: v.eligible)
+            assert getattr(fast, "index", None) == getattr(plain, "index", None)
+            assert [v.index for v in queues[0]] == [v.index for v in queues[1]]
+            assert [(v.yield_flag, v.runq_pcpu) for v in worlds[0]] == [
+                (v.yield_flag, v.runq_pcpu) for v in worlds[1]
+            ]
 
 
 class TestWaitQueueProperties:
